@@ -19,7 +19,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import fields
 
 import numpy as np
 
@@ -45,30 +45,8 @@ from .twobody import (
 __all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated per-invocation plumbing shared by the subcommands."""
-
-    subcommand: str
-    output_format: str
-    output_path: str | None
-    unit_label: str | None
-    seed: int
-
-
-def _config_from(args: argparse.Namespace) -> RunConfig:
-    label = getattr(args, "unit_label", None)
-    if label is not None:
-        # Header values are whitespace-delimited tokens; collapse any
-        # whitespace inside the label so the grammar survives.
-        label = "_".join(label.split()) or None
-    return RunConfig(
-        subcommand=args.subcommand,
-        output_format=getattr(args, "format", "csv"),
-        output_path=getattr(args, "out", None),
-        unit_label=label,
-        seed=getattr(args, "seed", 0),
-    )
+# --model values and the parameter class each selects.
+_MODELS = {"fano": FanoParameters, "bw": BreitWignerParameters}
 
 
 def _fmt(x: float) -> str:
@@ -88,16 +66,15 @@ def _header(pairs: list[tuple[str, object]]) -> str:
     return "# " + " ".join(tokens)
 
 
-def _emit(text: str, cfg: RunConfig) -> None:
-    if cfg.output_path is None:
+def _emit(text: str, path: str | None) -> None:
+    if path is None:
         sys.stdout.write(text)
     else:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="\n") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
 
 
 def _cmd_dipole_ladder(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.alpha is not None:
         alpha = args.alpha
     else:
@@ -106,7 +83,7 @@ def _cmd_dipole_ladder(args: argparse.Namespace) -> int:
     ratios: list[float | None] = [None]
     for prev, cur in zip(ladder.entries, ladder.entries[1:]):
         ratios.append(cur.epsilon / prev.epsilon)
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "alpha": ladder.alpha,
             "scale": ladder.scale,
@@ -121,7 +98,7 @@ def _cmd_dipole_ladder(args: argparse.Namespace) -> int:
                 for i, e in enumerate(ladder.entries)
             ],
         }
-        _emit(json.dumps(payload) + "\n", cfg)
+        _emit(json.dumps(payload) + "\n", args.out)
         return 0
     pairs: list[tuple[str, object]] = [
         ("alpha", ladder.alpha),
@@ -130,19 +107,18 @@ def _cmd_dipole_ladder(args: argparse.Namespace) -> int:
     ]
     if ladder.truncated_at is not None:
         pairs.append(("truncated_at", ladder.truncated_at))
-    if cfg.unit_label:
-        pairs.append(("unit_label", cfg.unit_label))
+    if args.unit_label:
+        pairs.append(("unit_label", args.unit_label))
     pairs.append(("columns", "n,kappa,epsilon,ratio_to_previous"))
     lines = [_header(pairs)]
     for i, e in enumerate(ladder.entries):
         ratio = "" if ratios[i] is None else _fmt(ratios[i])
         lines.append(f"{e.n},{_fmt(e.kappa)},{_fmt(e.epsilon)},{ratio}")
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def _cmd_scattering_length(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.tune_to is not None:
         depth = args.depth if args.depth is not None else 1.0
         well = SquareWell(depth, args.range, args.mass)
@@ -160,37 +136,35 @@ def _cmd_scattering_length(args: argparse.Namespace) -> int:
     if epsilon2 is not None:
         report["binding_energy"] = epsilon2
     report["depth_V0"] = well.depth_V0
-    if cfg.output_format == "csv":
+    if args.format == "csv":
         pairs: list[tuple[str, object]] = [
             ("range_Rw", well.range_Rw),
             ("reduced_mass_mu", well.reduced_mass_mu),
         ]
-        if cfg.unit_label:
-            pairs.append(("unit_label", cfg.unit_label))
+        if args.unit_label:
+            pairs.append(("unit_label", args.unit_label))
         lines = [_header(pairs)]
         for key, value in report.items():
             rendered = _fmt(value) if isinstance(value, float) else str(value)
             lines.append(f"{key},{rendered}")
-        _emit("\n".join(lines) + "\n", cfg)
+        _emit("\n".join(lines) + "\n", args.out)
     else:
-        _emit(json.dumps(report) + "\n", cfg)
+        _emit(json.dumps(report) + "\n", args.out)
     return 0
 
 
 def _cmd_efimov_count(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     a = math.inf if args.a_infinite else args.a
     count = count_states(a, args.r0)
     value: int | str = "unbounded" if count is UNBOUNDED else count
-    if cfg.output_format == "csv":
-        _emit(f"count,{value}\n", cfg)
+    if args.format == "csv":
+        _emit(f"count,{value}\n", args.out)
     else:
-        _emit(json.dumps(value) + "\n", cfg)
+        _emit(json.dumps(value) + "\n", args.out)
     return 0
 
 
 def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     by_count = args.count is not None
     by_window = args.a is not None or args.r0 is not None
     if by_count == by_window:
@@ -217,7 +191,7 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
         partition = classify_states_vs_threshold(ladder, args.threshold)
         classification = {n: "bound" for n, _ in partition.bound}
         classification.update({n: "embedded" for n, _ in partition.embedded})
-    if cfg.output_format == "json":
+    if args.format == "json":
         payload = {
             "alpha_eff": ladder.alpha_eff,
             "ground_energy": ladder.ground_energy,
@@ -227,7 +201,7 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
                 for n, energy in ladder.entries
             ],
         }
-        _emit(json.dumps(payload) + "\n", cfg)
+        _emit(json.dumps(payload) + "\n", args.out)
         return 0
     pairs = [
         ("alpha_eff", ladder.alpha_eff),
@@ -236,8 +210,8 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
     ]
     if args.threshold is not None:
         pairs.append(("threshold", args.threshold))
-    if cfg.unit_label:
-        pairs.append(("unit_label", cfg.unit_label))
+    if args.unit_label:
+        pairs.append(("unit_label", args.unit_label))
     columns = "n,energy,classification" if classification else "n,energy"
     pairs.append(("columns", columns))
     lines = [_header(pairs)]
@@ -246,14 +220,14 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
         if classification:
             row += f",{classification[n]}"
         lines.append(row)
-    _emit("\n".join(lines) + "\n", cfg)
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 
-def _curve_to_csv(curve: CrossSectionCurve, cfg: RunConfig) -> str:
+def _curve_to_csv(curve: CrossSectionCurve, unit_label: str | None) -> str:
     pairs = [(k, v) for k, v in curve.meta.items()]
-    if cfg.unit_label:
-        pairs.append(("unit_label", cfg.unit_label))
+    if unit_label:
+        pairs.append(("unit_label", unit_label))
     lines = [_header(pairs)]
     for e, s in zip(curve.energies, curve.sigmas):
         lines.append(f"{_fmt(e)},{_fmt(s)}")
@@ -281,53 +255,46 @@ def _curve_from_csv(text: str) -> CrossSectionCurve:
 
 
 def _cmd_profile_gen(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     if args.emin >= args.emax:
         raise DomainError(f"--emin must be below --emax, got {args.emin!r} >= {args.emax!r}")
     if args.points < 2:
         raise DomainError(f"--points must be at least 2, got {args.points}")
-    if args.model == "fano":
-        if args.q is None:
-            raise DomainError("--q is required for the fano model")
-        params: FanoParameters | BreitWignerParameters = FanoParameters(
-            E_r=args.er, Gamma=args.gamma, q=args.q, sigma0=args.sigma0
-        )
-    else:
-        if args.q is not None:
-            raise DomainError("--q applies to the fano model only")
-        params = BreitWignerParameters(E_r=args.er, Gamma=args.gamma, sigma0=args.sigma0)
+    cls = _MODELS[args.model]
+    names = [f.name for f in fields(cls)]
+    if "q" in names and args.q is None:
+        raise DomainError(f"--q is required for the {args.model} model")
+    if "q" not in names and args.q is not None:
+        raise DomainError(f"--q does not apply to the {args.model} model")
+    params = cls(**{name: getattr(args, name) for name in names})
     grid = np.linspace(args.emin, args.emax, args.points)
     curve = synthesize(params, grid, args.noise, args.seed)
-    _emit(_curve_to_csv(curve, cfg), cfg)
+    _emit(_curve_to_csv(curve, args.unit_label), args.out)
     return 0
 
 
-_GUESS_KEYS = {
-    "fano": ("E_r", "Gamma", "q", "sigma0"),
-    "breit_wigner": ("E_r", "Gamma", "sigma0"),
-}
-
-
-def _parse_guess(raw: str, model: str):
+def _parse_guess(raw: str, cls: type):
     try:
-        data = json.loads(raw)
+        # Integer literals parse as floats, so every JSON number (and
+        # nothing else) arrives as a float, however many digits it has.
+        data = json.loads(raw, parse_int=float)
     except json.JSONDecodeError as exc:
         raise DomainError(f"--guess is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError("--guess must be a JSON object")
-    expected = _GUESS_KEYS[model]
+    expected = [f.name for f in fields(cls)]
     if set(data) != set(expected):
         raise DomainError(
-            f"--guess for {model} needs exactly the keys {', '.join(expected)}"
+            f"--guess for {cls.model} needs exactly the keys {', '.join(expected)}"
         )
-    values = {k: float(data[k]) for k in expected}
-    if model == "fano":
-        return FanoParameters(**values)
-    return BreitWignerParameters(**values)
+    for key in expected:
+        if not isinstance(data[key], float):
+            raise DomainError(
+                f"--guess value of {key} must be a JSON number, got {json.dumps(data[key])}"
+            )
+    return cls(**data)
 
 
 def _cmd_profile_fit(args: argparse.Namespace) -> int:
-    cfg = _config_from(args)
     with open(args.input, "r", encoding="utf-8") as fh:
         text = fh.read()
     curve = _curve_from_csv(text)
@@ -339,11 +306,11 @@ def _cmd_profile_fit(args: argparse.Namespace) -> int:
             [report_to_json_dict(fano_report), report_to_json_dict(bw_report)]
         )
     else:
-        model = "fano" if args.model == "fano" else "breit_wigner"
-        guess = _parse_guess(args.guess, model) if args.guess is not None else None
-        report = fit(curve, model, guess)
+        cls = _MODELS[args.model]
+        guess = _parse_guess(args.guess, cls) if args.guess is not None else None
+        report = fit(curve, cls.model, guess)
         payload = json.dumps(report_to_json_dict(report))
-    _emit(payload + "\n", cfg)
+    _emit(payload + "\n", args.out)
     return 0
 
 
@@ -430,9 +397,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_efimov_ladder)
 
     p = sub.add_parser("profile-gen", help="synthesize a resonance cross-section curve")
-    p.add_argument("--model", choices=("fano", "bw"), required=True)
-    p.add_argument("--er", type=float, required=True, help="resonance position E_r")
-    p.add_argument("--gamma", type=float, required=True, help="full width Gamma > 0")
+    p.add_argument("--model", choices=tuple(_MODELS), required=True)
+    # dest names are the parameter classes' field names.
+    p.add_argument("--er", dest="E_r", type=float, required=True,
+                   help="resonance position E_r")
+    p.add_argument("--gamma", dest="Gamma", type=float, required=True,
+                   help="full width Gamma > 0")
     p.add_argument("--q", type=float, help="Fano index (fano model only)")
     p.add_argument("--sigma0", type=float, required=True, help="cross-section scale > 0")
     p.add_argument("--emin", type=float, required=True)
@@ -448,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("profile-fit", help="fit a curve file to resonance models")
     p.add_argument("--in", dest="input", required=True, metavar="PATH",
                    help="curve CSV produced by profile-gen (or same format)")
-    p.add_argument("--model", choices=("fano", "bw", "both"), default="both")
+    p.add_argument("--model", choices=(*_MODELS, "both"), default="both")
     p.add_argument("--guess", help="JSON object with starting parameters")
     _add_common(p, formats=())
     p.set_defaults(handler=_cmd_profile_fit, format="json")
@@ -459,6 +429,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.unit_label is not None:
+        # Header values are whitespace-delimited tokens; collapse any
+        # whitespace inside the label so the grammar survives.
+        args.unit_label = "_".join(args.unit_label.split()) or None
     try:
         return args.handler(args)
     except ToolkitError as exc:

@@ -19,7 +19,7 @@ for all four parameters from the locations of the sampled extrema.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -122,30 +122,19 @@ def _model_jac_bw(theta: np.ndarray, E: np.ndarray):
     return f, J
 
 
-def _clamp_fano(theta: np.ndarray) -> np.ndarray:
-    out = theta.copy()
-    out[1] = min(max(out[1], -_LOG_BOUND), _LOG_BOUND)
-    out[2] = min(max(out[2], -Q_CAP), Q_CAP)
-    out[3] = min(max(out[3], -_LOG_BOUND), _LOG_BOUND)
-    return out
-
-
-def _clamp_bw(theta: np.ndarray) -> np.ndarray:
-    out = theta.copy()
-    out[1] = min(max(out[1], -_LOG_BOUND), _LOG_BOUND)
-    out[2] = min(max(out[2], -_LOG_BOUND), _LOG_BOUND)
-    return out
-
-
 def _minimize(
     model_jac: Callable,
-    clamp: Callable[[np.ndarray], np.ndarray],
+    bound: np.ndarray,
     theta0: np.ndarray,
     E: np.ndarray,
     y: np.ndarray,
 ):
-    """Damped Gauss-Newton loop.  Deterministic for fixed inputs."""
-    theta = clamp(np.asarray(theta0, dtype=np.float64))
+    """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
+
+    Deterministic for fixed inputs.
+    """
+    lo = -bound
+    theta = np.minimum(np.maximum(theta0, lo), bound)
     f, J = model_jac(theta, E)
     r = f - y
     sse = float(r @ r)
@@ -169,10 +158,13 @@ def _minimize(
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and bool(np.all(np.isfinite(step))):
-                cand = clamp(theta + step)
-                f_c, J_c = model_jac(cand, E)
-                r_c = f_c - y
-                sse_c = float(r_c @ r_c)
+                cand = np.minimum(np.maximum(theta + step, lo), bound)
+                # Overflowing trials give a non-finite sse and are
+                # rejected below; numpy need not warn about them.
+                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                    f_c, J_c = model_jac(cand, E)
+                    r_c = f_c - y
+                    sse_c = float(r_c @ r_c)
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, f, J, r, sse = cand, f_c, J_c, r_c, sse_c
@@ -327,6 +319,61 @@ def _check_curve(curve: CrossSectionCurve) -> None:
         )
 
 
+@dataclass(frozen=True)
+class _Model:
+    """Everything fit needs to know about one line shape.
+
+    theta is the internal parameter vector the optimizer moves; bound
+    is its symmetric clamp, |theta[i]| <= bound[i].
+    """
+
+    params: type
+    initial_guess: Callable[[CrossSectionCurve], FittedParameters]
+    to_theta: Callable[[FittedParameters], list]
+    from_theta: Callable[[np.ndarray], FittedParameters]
+    model_jac: Callable
+    bound: np.ndarray
+
+
+def _fano_from_theta(theta: np.ndarray) -> FanoParameters:
+    q = float(theta[2])
+    return FanoParameters(
+        E_r=float(theta[0]),
+        Gamma=math.exp(theta[1]),
+        q=q,
+        sigma0=math.exp(theta[3]) / (1.0 + q * q),
+    )
+
+
+# The initializers are looked up at call time, through this module's
+# globals, so that wrapping them (for tracing, say) takes effect.
+_MODELS = {
+    FanoParameters.model: _Model(
+        params=FanoParameters,
+        initial_guess=lambda curve: initial_guess_fano(curve),
+        to_theta=lambda g: [
+            g.E_r,
+            math.log(g.Gamma),
+            g.q,
+            math.log(g.sigma0) + math.log1p(g.q * g.q),
+        ],
+        from_theta=_fano_from_theta,
+        model_jac=_model_jac_fano,
+        bound=np.array([math.inf, _LOG_BOUND, Q_CAP, _LOG_BOUND]),
+    ),
+    BreitWignerParameters.model: _Model(
+        params=BreitWignerParameters,
+        initial_guess=lambda curve: initial_guess_breit_wigner(curve),
+        to_theta=lambda g: [g.E_r, math.log(g.Gamma), math.log(g.sigma0)],
+        from_theta=lambda theta: BreitWignerParameters(
+            E_r=float(theta[0]), Gamma=math.exp(theta[1]), sigma0=math.exp(theta[2])
+        ),
+        model_jac=_model_jac_bw,
+        bound=np.array([math.inf, _LOG_BOUND, _LOG_BOUND]),
+    ),
+}
+
+
 def fit(
     curve: CrossSectionCurve,
     model: str,
@@ -342,62 +389,27 @@ def fit(
     than raising.
     """
     _check_curve(curve)
-    E = curve.energies
-    y = curve.sigmas
-    if model == "fano":
-        if guess is None:
-            guess = initial_guess_fano(curve)
-        elif not isinstance(guess, FanoParameters):
-            raise DomainError("fano fit requires FanoParameters as guess")
-        theta0 = np.array(
-            [
-                guess.E_r,
-                math.log(guess.Gamma),
-                guess.q,
-                math.log(guess.sigma0) + math.log1p(guess.q * guess.q),
-            ]
-        )
-        theta, sse, iterations, converged = _minimize(
-            _model_jac_fano, _clamp_fano, theta0, E, y
-        )
-        q_fit = float(theta[2])
-        params = FanoParameters(
-            E_r=float(theta[0]),
-            Gamma=math.exp(theta[1]),
-            q=q_fit,
-            sigma0=math.exp(theta[3]) / (1.0 + q_fit * q_fit),
-        )
-        at_cap = abs(params.q) >= Q_CAP
-        return FitReport(
-            model="fano",
-            params=params,
-            sse=sse,
-            iterations=iterations,
-            converged=converged,
-            initial_guess=guess,
-            lorentzian_limit=at_cap,
-        )
-    if model == "breit_wigner":
-        if guess is None:
-            guess = initial_guess_breit_wigner(curve)
-        elif not isinstance(guess, BreitWignerParameters):
-            raise DomainError("breit_wigner fit requires BreitWignerParameters as guess")
-        theta0 = np.array([guess.E_r, math.log(guess.Gamma), math.log(guess.sigma0)])
-        theta, sse, iterations, converged = _minimize(
-            _model_jac_bw, _clamp_bw, theta0, E, y
-        )
-        params = BreitWignerParameters(
-            E_r=float(theta[0]), Gamma=math.exp(theta[1]), sigma0=math.exp(theta[2])
-        )
-        return FitReport(
-            model="breit_wigner",
-            params=params,
-            sse=sse,
-            iterations=iterations,
-            converged=converged,
-            initial_guess=guess,
-        )
-    raise DomainError(f"unknown model {model!r}; use 'fano' or 'breit_wigner'")
+    m = _MODELS.get(model)
+    if m is None:
+        names = " or ".join(repr(name) for name in _MODELS)
+        raise DomainError(f"unknown model {model!r}; use {names}")
+    if guess is None:
+        guess = m.initial_guess(curve)
+    elif not isinstance(guess, m.params):
+        raise DomainError(f"{model} fit requires {m.params.__name__} as guess")
+    theta, sse, iterations, converged = _minimize(
+        m.model_jac, m.bound, np.array(m.to_theta(guess)), curve.energies, curve.sigmas
+    )
+    params = m.from_theta(theta)
+    return FitReport(
+        model=model,
+        params=params,
+        sse=sse,
+        iterations=iterations,
+        converged=converged,
+        initial_guess=guess,
+        lorentzian_limit=abs(getattr(params, "q", 0.0)) >= Q_CAP,
+    )
 
 
 def compare_models(curve: CrossSectionCurve) -> tuple[FitReport, FitReport]:
@@ -406,14 +418,13 @@ def compare_models(curve: CrossSectionCurve) -> tuple[FitReport, FitReport]:
 
 
 def report_to_json_dict(report: FitReport) -> dict:
-    """Flat JSON-ready view: model, E_r, Gamma, q (fano only), sigma0,
-    sse, iterations, converged."""
-    p = report.params
-    out: dict = {"model": report.model, "E_r": p.E_r, "Gamma": p.Gamma}
-    if isinstance(p, FanoParameters):
-        out["q"] = p.q
-    out["sigma0"] = p.sigma0
-    out["sse"] = report.sse
-    out["iterations"] = report.iterations
-    out["converged"] = report.converged
-    return out
+    """Flat JSON-ready view: the model name, then the fitted parameters
+    in their dataclass field order (E_r, Gamma, q for fano only,
+    sigma0), then sse, iterations and converged."""
+    return {
+        "model": report.model,
+        **asdict(report.params),
+        "sse": report.sse,
+        "iterations": report.iterations,
+        "converged": report.converged,
+    }

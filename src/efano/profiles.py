@@ -17,8 +17,8 @@ and Gamma share is the unit of the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -53,6 +53,8 @@ def _require_positive(name: str, value: float) -> None:
 class BreitWignerParameters:
     """Symmetric resonance sigma0 / (1 + eps^2)."""
 
+    model: ClassVar[str] = "breit_wigner"
+
     E_r: float
     Gamma: float
     sigma0: float
@@ -84,6 +86,8 @@ class FanoParameters:
     The Lorentzian limit is a limit, not a parameter value: q must be
     finite.
     """
+
+    model: ClassVar[str] = "fano"
 
     E_r: float
     Gamma: float
@@ -157,25 +161,15 @@ def fano(E, p: FanoParameters):
     return p.sigma0 * (t * t) / (1.0 + eps * eps)
 
 
+_SHAPES = {FanoParameters: fano, BreitWignerParameters: breit_wigner}
+
+
 def evaluate(E, p: ProfileParameters):
     """Dispatch to fano or breit_wigner on the parameter type."""
-    if isinstance(p, FanoParameters):
-        return fano(E, p)
-    if isinstance(p, BreitWignerParameters):
-        return breit_wigner(E, p)
-    raise DomainError(f"unsupported parameter type {type(p).__name__}")
-
-
-def _meta_for(p: ProfileParameters) -> dict:
-    if isinstance(p, FanoParameters):
-        return {
-            "model": "fano",
-            "E_r": p.E_r,
-            "Gamma": p.Gamma,
-            "q": p.q,
-            "sigma0": p.sigma0,
-        }
-    return {"model": "breit_wigner", "E_r": p.E_r, "Gamma": p.Gamma, "sigma0": p.sigma0}
+    shape = _SHAPES.get(type(p))
+    if shape is None:
+        raise DomainError(f"unsupported parameter type {type(p).__name__}")
+    return shape(E, p)
 
 
 def synthesize(
@@ -210,9 +204,12 @@ def synthesize(
             f"{noise_sigma_relative!r}"
         )
     exact = np.asarray(evaluate(grid, p), dtype=np.float64)
-    meta = _meta_for(p)
-    meta["noise"] = float(noise_sigma_relative)
-    meta["seed"] = int(seed)
+    meta = {
+        "model": p.model,
+        **asdict(p),
+        "noise": float(noise_sigma_relative),
+        "seed": int(seed),
+    }
     clamped = 0
     if noise_sigma_relative > 0.0:
         g = np.array(seeded_gaussian_noise(seed, grid.size, 1.0))

@@ -457,8 +457,15 @@ class TestProfileFit:
             "[1, 2, 3]",
             '{"E_r": 1.6, "Gamma": 0.3}',
             '{"E_r": 1.6, "Gamma": 0.3, "q": 3.0, "sigma0": 1.2, "extra": 0}',
+            '{"E_r": "x", "Gamma": 1, "q": 1, "sigma0": 1}',
+            '{"E_r": null, "Gamma": 1, "q": 1, "sigma0": 1}',
+            '{"E_r": true, "Gamma": 1, "q": 1, "sigma0": 1}',
+            '{"E_r": "1.6", "Gamma": 1, "q": 1, "sigma0": 1}',
         ],
-        ids=["invalid", "non-object", "missing-keys", "extra-key"],
+        ids=[
+            "invalid", "non-object", "missing-keys", "extra-key",
+            "non-numeric-string", "null", "bool", "numeric-string",
+        ],
     )
     def test_bad_guess_exits_2(self, capsys, tmp_path, guess):
         path = self.gen_file(capsys, tmp_path)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ class TestFitNoisy:
         assert a.params == b.params
         assert a.sse == b.sse
         assert a.iterations == b.iterations
+
+    def test_overflowing_trial_steps_do_not_warn(self):
+        # A Breit-Wigner fit of this dip-dominated Fano curve runs Gamma
+        # toward 1e304; trial steps that overflow are rejected by the
+        # finite-SSE test and must not print numpy RuntimeWarnings.
+        dip = FanoParameters(
+            -2.7854247906515317, 0.5877731544834861,
+            -0.19136805107370286, 0.0018071850116263843,
+        )
+        grid = np.linspace(-4.961885618584937, -0.989946375366578, 386)
+        curve = synthesize(dip, grid, 0.0041147263167317085, seed=765839603512179589)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = fit(curve, "breit_wigner")
+        assert math.isfinite(report.sse)
 
 
 class TestLorentzianLimit:
