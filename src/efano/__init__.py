@@ -22,7 +22,6 @@ from .dipole_ladder import (
 from .efimov import (
     UNBOUNDED,
     EfimovLadder,
-    EfimovWindow,
     ThresholdPartition,
     build_efimov_ladder,
     classify_states_vs_threshold,

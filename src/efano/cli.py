@@ -28,12 +28,7 @@ from .dipole_ladder import alpha_from_strength, build_ladder
 from .efimov import UNBOUNDED, build_efimov_ladder, classify_states_vs_threshold, count_states
 from .errors import DomainError, ToolkitError
 from .fitter import compare_models, fit, report_to_json_dict
-from .profiles import (
-    BreitWignerParameters,
-    CrossSectionCurve,
-    FanoParameters,
-    synthesize,
-)
+from .profiles import BreitWignerParameters, CrossSectionCurve, FanoParameters, synthesize
 from .twobody import (
     DEFAULT_UNITARITY_TOL,
     SquareWell,
@@ -49,76 +44,59 @@ __all__ = ["main"]
 _MODELS = {"fano": FanoParameters, "bw": BreitWignerParameters}
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _cell(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return repr(float(x))
+    return str(x)
 
 
-def _header(pairs: list[tuple[str, object]]) -> str:
-    tokens = []
-    for key, value in pairs:
-        if isinstance(value, bool):
-            rendered = "true" if value else "false"
-        elif isinstance(value, float):
-            rendered = _fmt(value)
-        else:
-            rendered = str(value)
-        tokens.append(f"{key}={rendered}")
-    return "# " + " ".join(tokens)
+def _csv(pairs, rows, unit_label: str | None, columns: tuple[str, ...] = ()) -> str:
+    """One "# key=value ..." header line, then one comma-joined line per row.
+
+    unit_label, then columns, are the last header tokens when given.
+    """
+    pairs = list(pairs)
+    if unit_label:
+        pairs.append(("unit_label", unit_label))
+    if columns:
+        pairs.append(("columns", ",".join(columns)))
+    lines = ["# " + " ".join(f"{key}={_cell(value)}" for key, value in pairs)]
+    lines += [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
-def _emit(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+def _json(obj) -> str:
+    return json.dumps(obj) + "\n"
 
 
-def _cmd_dipole_ladder(args: argparse.Namespace) -> int:
+def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
     if args.alpha is not None:
         alpha = args.alpha
     else:
         alpha = alpha_from_strength(args.strength_a)
     ladder = build_ladder(alpha, args.n_max, scale=args.scale)
-    ratios: list[float | None] = [None]
-    for prev, cur in zip(ladder.entries, ladder.entries[1:]):
-        ratios.append(cur.epsilon / prev.epsilon)
+    entries = ladder.entries
+    ratios = [None] + [cur.epsilon / prev.epsilon for prev, cur in zip(entries, entries[1:])]
+    columns = ("n", "kappa", "epsilon", "ratio_to_previous")
+    rows = [(e.n, e.kappa, e.epsilon, ratio) for e, ratio in zip(entries, ratios)]
     if args.format == "json":
-        payload = {
+        return _json({
             "alpha": ladder.alpha,
             "scale": ladder.scale,
             "truncated_at": ladder.truncated_at,
-            "entries": [
-                {
-                    "n": e.n,
-                    "kappa": e.kappa,
-                    "epsilon": e.epsilon,
-                    "ratio_to_previous": ratios[i],
-                }
-                for i, e in enumerate(ladder.entries)
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-        return 0
-    pairs: list[tuple[str, object]] = [
-        ("alpha", ladder.alpha),
-        ("scale", ladder.scale),
-        ("n_max", args.n_max),
-    ]
+            "entries": [dict(zip(columns, row)) for row in rows],
+        })
+    pairs = [("alpha", ladder.alpha), ("scale", ladder.scale), ("n_max", args.n_max)]
     if ladder.truncated_at is not None:
         pairs.append(("truncated_at", ladder.truncated_at))
-    if args.unit_label:
-        pairs.append(("unit_label", args.unit_label))
-    pairs.append(("columns", "n,kappa,epsilon,ratio_to_previous"))
-    lines = [_header(pairs)]
-    for i, e in enumerate(ladder.entries):
-        ratio = "" if ratios[i] is None else _fmt(ratios[i])
-        lines.append(f"{e.n},{_fmt(e.kappa)},{_fmt(e.epsilon)},{ratio}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return _csv(pairs, rows, args.unit_label, columns)
 
 
-def _cmd_scattering_length(args: argparse.Namespace) -> int:
+def _cmd_scattering_length(args: argparse.Namespace) -> str:
     if args.tune_to is not None:
         depth = args.depth if args.depth is not None else 1.0
         well = SquareWell(depth, args.range, args.mass)
@@ -136,35 +114,20 @@ def _cmd_scattering_length(args: argparse.Namespace) -> int:
     if epsilon2 is not None:
         report["binding_energy"] = epsilon2
     report["depth_V0"] = well.depth_V0
-    if args.format == "csv":
-        pairs: list[tuple[str, object]] = [
-            ("range_Rw", well.range_Rw),
-            ("reduced_mass_mu", well.reduced_mass_mu),
-        ]
-        if args.unit_label:
-            pairs.append(("unit_label", args.unit_label))
-        lines = [_header(pairs)]
-        for key, value in report.items():
-            rendered = _fmt(value) if isinstance(value, float) else str(value)
-            lines.append(f"{key},{rendered}")
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        _emit(json.dumps(report) + "\n", args.out)
-    return 0
+    if args.format == "json":
+        return _json(report)
+    pairs = [("range_Rw", well.range_Rw), ("reduced_mass_mu", well.reduced_mass_mu)]
+    return _csv(pairs, report.items(), args.unit_label)
 
 
-def _cmd_efimov_count(args: argparse.Namespace) -> int:
+def _cmd_efimov_count(args: argparse.Namespace) -> str:
     a = math.inf if args.a_infinite else args.a
     count = count_states(a, args.r0)
     value: int | str = "unbounded" if count is UNBOUNDED else count
-    if args.format == "csv":
-        _emit(f"count,{value}\n", args.out)
-    else:
-        _emit(json.dumps(value) + "\n", args.out)
-    return 0
+    return f"count,{value}\n" if args.format == "csv" else _json(value)
 
 
-def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
+def _cmd_efimov_ladder(args: argparse.Namespace) -> str:
     by_count = args.count is not None
     by_window = args.a is not None or args.r0 is not None
     if by_count == by_window:
@@ -186,23 +149,21 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
     else:
         count = args.count
     ladder = build_efimov_ladder(args.alpha_eff, args.ground_energy, count)
-    classification: dict[int, str] = {}
+    columns: tuple[str, ...] = ("n", "energy")
+    rows = ladder.entries
     if args.threshold is not None:
         partition = classify_states_vs_threshold(ladder, args.threshold)
-        classification = {n: "bound" for n, _ in partition.bound}
-        classification.update({n: "embedded" for n, _ in partition.embedded})
+        label = {n: "bound" for n, _ in partition.bound}
+        label.update({n: "embedded" for n, _ in partition.embedded})
+        columns += ("classification",)
+        rows = [(n, energy, label[n]) for n, energy in rows]
     if args.format == "json":
-        payload = {
+        return _json({
             "alpha_eff": ladder.alpha_eff,
             "ground_energy": ladder.ground_energy,
-            "entries": [
-                {"n": n, "energy": energy}
-                | ({"classification": classification[n]} if classification else {})
-                for n, energy in ladder.entries
-            ],
-        }
-        _emit(json.dumps(payload) + "\n", args.out)
-        return 0
+            "truncated_at": ladder.truncated_at,
+            "entries": [dict(zip(columns, row)) for row in rows],
+        })
     pairs = [
         ("alpha_eff", ladder.alpha_eff),
         ("ground_energy", ladder.ground_energy),
@@ -210,28 +171,9 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> int:
     ]
     if args.threshold is not None:
         pairs.append(("threshold", args.threshold))
-    if args.unit_label:
-        pairs.append(("unit_label", args.unit_label))
-    columns = "n,energy,classification" if classification else "n,energy"
-    pairs.append(("columns", columns))
-    lines = [_header(pairs)]
-    for n, energy in ladder.entries:
-        row = f"{n},{_fmt(energy)}"
-        if classification:
-            row += f",{classification[n]}"
-        lines.append(row)
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
-
-
-def _curve_to_csv(curve: CrossSectionCurve, unit_label: str | None) -> str:
-    pairs = [(k, v) for k, v in curve.meta.items()]
-    if unit_label:
-        pairs.append(("unit_label", unit_label))
-    lines = [_header(pairs)]
-    for e, s in zip(curve.energies, curve.sigmas):
-        lines.append(f"{_fmt(e)},{_fmt(s)}")
-    return "\n".join(lines) + "\n"
+    if ladder.truncated_at is not None:
+        pairs.append(("truncated_at", ladder.truncated_at))
+    return _csv(pairs, rows, args.unit_label, columns)
 
 
 def _curve_from_csv(text: str) -> CrossSectionCurve:
@@ -254,7 +196,7 @@ def _curve_from_csv(text: str) -> CrossSectionCurve:
     return CrossSectionCurve(energies, sigmas)
 
 
-def _cmd_profile_gen(args: argparse.Namespace) -> int:
+def _cmd_profile_gen(args: argparse.Namespace) -> str:
     if args.emin >= args.emax:
         raise DomainError(f"--emin must be below --emax, got {args.emin!r} >= {args.emax!r}")
     if args.points < 2:
@@ -268,8 +210,7 @@ def _cmd_profile_gen(args: argparse.Namespace) -> int:
     params = cls(**{name: getattr(args, name) for name in names})
     grid = np.linspace(args.emin, args.emax, args.points)
     curve = synthesize(params, grid, args.noise, args.seed)
-    _emit(_curve_to_csv(curve, args.unit_label), args.out)
-    return 0
+    return _csv(curve.meta.items(), zip(curve.energies, curve.sigmas), args.unit_label)
 
 
 def _parse_guess(raw: str, cls: type):
@@ -294,24 +235,21 @@ def _parse_guess(raw: str, cls: type):
     return cls(**data)
 
 
-def _cmd_profile_fit(args: argparse.Namespace) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _cmd_profile_fit(args: argparse.Namespace) -> str:
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"curve file is not UTF-8 text: {exc}") from exc
     curve = _curve_from_csv(text)
     if args.model == "both":
         if args.guess is not None:
             raise DomainError("--guess needs a single --model, not both")
         fano_report, bw_report = compare_models(curve)
-        payload = json.dumps(
-            [report_to_json_dict(fano_report), report_to_json_dict(bw_report)]
-        )
-    else:
-        cls = _MODELS[args.model]
-        guess = _parse_guess(args.guess, cls) if args.guess is not None else None
-        report = fit(curve, cls.model, guess)
-        payload = json.dumps(report_to_json_dict(report))
-    _emit(payload + "\n", args.out)
-    return 0
+        return _json([report_to_json_dict(fano_report), report_to_json_dict(bw_report)])
+    cls = _MODELS[args.model]
+    guess = _parse_guess(args.guess, cls) if args.guess is not None else None
+    return _json(report_to_json_dict(fit(curve, cls.model, guess)))
 
 
 def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
@@ -413,7 +351,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0,
                    help="noise stream seed (default: %(default)s)")
     _add_common(p, formats=())
-    p.set_defaults(handler=_cmd_profile_gen, format="csv")
+    p.set_defaults(handler=_cmd_profile_gen)
 
     p = sub.add_parser("profile-fit", help="fit a curve file to resonance models")
     p.add_argument("--in", dest="input", required=True, metavar="PATH",
@@ -421,7 +359,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=(*_MODELS, "both"), default="both")
     p.add_argument("--guess", help="JSON object with starting parameters")
     _add_common(p, formats=())
-    p.set_defaults(handler=_cmd_profile_fit, format="json")
+    p.set_defaults(handler=_cmd_profile_fit)
 
     return parser
 
@@ -434,13 +372,19 @@ def main(argv: list[str] | None = None) -> int:
         # whitespace inside the label so the grammar survives.
         args.unit_label = "_".join(args.unit_label.split()) or None
     try:
-        return args.handler(args)
+        text = args.handler(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -121,6 +121,33 @@ class BoundLadder:
         return math.exp(-2.0 * math.pi / self.alpha)
 
 
+def _take_levels(levels) -> tuple[list, int | None]:
+    """Collect a ladder's entries from (energy, entry) pairs, deepest first.
+
+    The ladder stops before the first level whose energy is subnormal
+    or zero, and that level's index is returned as truncated_at (None
+    when every level is kept).  An energy that is not finite, or one
+    that is not strictly shallower than the level before it, raises
+    DomainError: the ladder's geometric ratio no longer survives
+    rounding, so no faithful tower exists.
+    """
+    entries: list = []
+    prev = -math.inf
+    for n, (energy, entry) in enumerate(levels):
+        if abs(energy) < sys.float_info.min:
+            return entries, n
+        if not math.isfinite(energy):
+            raise DomainError(f"level {n} energy {energy!r} is not finite")
+        if not energy > prev:
+            raise DomainError(
+                f"level {n} energy {energy!r} is not shallower than level "
+                f"{n - 1} energy {prev!r}; the ladder ratio rounds to 1"
+            )
+        entries.append(entry)
+        prev = energy
+    return entries, None
+
+
 def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder:
     """Levels n = 0 .. n_max, truncated before energies go subnormal.
 
@@ -128,20 +155,20 @@ def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder
     energies keep the geometric ratio exp(-2*pi/alpha) to rounding
     level.  Levels whose |epsilon| would land below the normal float
     range are dropped rather than returned as denormal noise, and the
-    first dropped index is reported as truncated_at.
+    first dropped index is reported as truncated_at.  An alpha so large
+    that the energies overflow or stop shrinking raises DomainError.
     """
     _check_alpha(alpha)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
-    entries: list[LadderEntry] = []
-    truncated_at: int | None = None
-    for n in range(n_max + 1):
-        kappa = kappa_n(alpha, n, scale=scale)
-        epsilon = -0.5 * kappa * kappa
-        if abs(epsilon) < sys.float_info.min:
-            truncated_at = n
-            break
-        entries.append(LadderEntry(n=n, kappa=kappa, epsilon=epsilon))
+
+    def levels():
+        for n in range(n_max + 1):
+            kappa = kappa_n(alpha, n, scale=scale)
+            epsilon = -0.5 * kappa * kappa
+            yield epsilon, LadderEntry(n=n, kappa=kappa, epsilon=epsilon)
+
+    entries, truncated_at = _take_levels(levels())
     return BoundLadder(
         alpha=alpha, scale=scale, entries=tuple(entries), truncated_at=truncated_at
     )
@@ -151,7 +178,9 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
     """Geometric tower ground_energy * exp(-2*n*pi/alpha), n = 0 .. count-1.
 
     ground_energy must be negative (a binding energy) and count a
-    nonnegative int.
+    nonnegative int.  The tower stops before its first subnormal or
+    zero energy, so it can hold fewer than count levels; a ratio that
+    rounds to 1 raises DomainError, as in build_ladder.
     """
     _check_alpha(alpha)
     if not (math.isfinite(ground_energy) and ground_energy < 0.0):
@@ -161,4 +190,5 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
     if not isinstance(count, int) or count < 0:
         raise DomainError(f"count must be a nonnegative int, got {count!r}")
     step = -2.0 * math.pi / alpha
-    return [ground_energy * math.exp(step * n) for n in range(count)]
+    energies = (ground_energy * math.exp(step * n) for n in range(count))
+    return _take_levels((e, e) for e in energies)[0]

@@ -26,7 +26,6 @@ from .errors import DomainError
 __all__ = [
     "UNBOUNDED",
     "count_states",
-    "EfimovWindow",
     "EfimovLadder",
     "build_efimov_ladder",
     "ThresholdPartition",
@@ -71,29 +70,13 @@ def count_states(a: float, r0: float) -> int | _UnboundedType:
         raise DomainError("scattering length must not be NaN")
     if math.isinf(a):
         return UNBOUNDED
-    if a == 0.0:
+    if abs(a) <= r0:
         return 0
-    x = math.log(abs(a) / r0) / math.pi
-    return max(0, math.floor(x + _BOUNDARY_SNAP))
-
-
-@dataclass(frozen=True)
-class EfimovWindow:
-    """A finite scattering-length window and the state count it allows."""
-
-    a: float
-    r0: float
-    predicted_count: int
-
-    @classmethod
-    def from_lengths(cls, a: float, r0: float) -> "EfimovWindow":
-        count = count_states(a, r0)
-        if count is UNBOUNDED:
-            raise DomainError(
-                "infinite scattering length has no finite window; "
-                "use count_states directly for the unbounded marker"
-            )
-        return cls(a=a, r0=r0, predicted_count=count)
+    ratio = abs(a) / r0
+    # The ratio overflows only when |a| and r0 sit at opposite ends of
+    # the float range; their logs stay finite there.
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(abs(a)) - math.log(r0)
+    return math.floor(log_ratio / math.pi + _BOUNDARY_SNAP)
 
 
 @dataclass(frozen=True)
@@ -102,11 +85,15 @@ class EfimovLadder:
 
     entries holds (n, energy) pairs with energy = ground_energy *
     exp(-2*n*pi/alpha_eff), strictly increasing toward zero.
+    truncated_at is the first level index whose energy went subnormal
+    or zero and was therefore omitted; None means every requested level
+    is present.
     """
 
     alpha_eff: float
     ground_energy: float
     entries: tuple[tuple[int, float], ...]
+    truncated_at: int | None = None
 
 
 def build_efimov_ladder(
@@ -126,6 +113,7 @@ def build_efimov_ladder(
         alpha_eff=alpha_eff,
         ground_energy=ground_energy,
         entries=tuple(enumerate(energies)),
+        truncated_at=len(energies) if len(energies) < count else None,
     )
 
 

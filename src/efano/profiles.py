@@ -64,19 +64,6 @@ class BreitWignerParameters:
         _require_positive("Gamma", self.Gamma)
         _require_positive("sigma0", self.sigma0)
 
-    @property
-    def amplitude_A(self) -> float:
-        """Numerator A of the equivalent form A/((E-E_r)^2 + (Gamma/2)^2)."""
-        half = 0.5 * self.Gamma
-        return self.sigma0 * half * half
-
-    @classmethod
-    def from_amplitude(cls, E_r: float, Gamma: float, A: float) -> "BreitWignerParameters":
-        _require_positive("Gamma", Gamma)
-        _require_positive("A", A)
-        half = 0.5 * Gamma
-        return cls(E_r=E_r, Gamma=Gamma, sigma0=A / (half * half))
-
 
 @dataclass(frozen=True)
 class FanoParameters:
@@ -129,10 +116,6 @@ class CrossSectionCurve:
 
     def __len__(self) -> int:
         return int(self.energies.size)
-
-    @property
-    def samples(self) -> list[tuple[float, float]]:
-        return [(float(e), float(s)) for e, s in zip(self.energies, self.sigmas)]
 
 
 ProfileParameters = Union[FanoParameters, BreitWignerParameters]

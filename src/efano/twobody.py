@@ -34,6 +34,10 @@ __all__ = [
 
 DEFAULT_UNITARITY_TOL = 1e-12
 
+# Beyond 2**52 consecutive floats lie at least 1 apart, so tan(x0) and
+# floor(x0/pi) no longer say anything about the well.
+_X0_MAX = 2.0**52
+
 
 @dataclass(frozen=True)
 class SquareWell:
@@ -81,6 +85,16 @@ def _bound_count(x0: float) -> int:
     return max(0, math.floor(x0 / math.pi + 0.5))
 
 
+def _strength(well: SquareWell) -> float:
+    """x0 of a well whose scattering is representable in floats."""
+    x0 = well.x0
+    if not 0.0 < x0 <= _X0_MAX:
+        raise DomainError(
+            f"well strength x0 = sqrt(2*mu*V0)*Rw = {x0!r} lies outside (0, 2**52]"
+        )
+    return x0
+
+
 def scattering_length(
     well: SquareWell, *, unitarity_tol: float = DEFAULT_UNITARITY_TOL
 ) -> ScatteringLengthResult:
@@ -90,11 +104,12 @@ def scattering_length(
     the result is flagged unitary and a is None instead of a huge,
     sign-ambiguous float.  bound_state_count = floor(x0/pi + 1/2) counts
     the s-wave bound states the well supports: it steps up by one at
-    each divergence, where a returns from -inf to +inf.
+    each divergence, where a returns from -inf to +inf.  A well whose x0
+    underflows to 0 or exceeds 2**52 raises DomainError.
     """
     if not (math.isfinite(unitarity_tol) and unitarity_tol >= 0.0):
         raise DomainError(f"unitarity_tol must be nonnegative, got {unitarity_tol!r}")
-    x0 = well.x0
+    x0 = _strength(well)
     count = _bound_count(x0)
     if abs(math.cos(x0)) < unitarity_tol:
         return ScatteringLengthResult(a=None, unitary=True, bound_state_count=count)
@@ -113,7 +128,7 @@ def binding_energy(well: SquareWell) -> float | None:
     itself as the state becomes weakly bound, where |epsilon| tends to
     the universal value 1/(2 * mu * a^2).
     """
-    x0 = well.x0
+    x0 = _strength(well)
     m = _bound_count(x0)
     if m == 0:
         return None
@@ -166,8 +181,9 @@ def tune_to_scattering_length(
 
     Raises UnreachableTargetError when target_a cannot occur on the
     requested branch (zero, non-finite, or 0 < target_a < Rw with
-    branch 0), and ConvergenceError if the depth solve fails to
-    reproduce target_a to 1e-9 relative.
+    branch 0), DomainError when 2*mu*Rw^2 underflows to zero, and
+    ConvergenceError if the depth solve fails to reproduce target_a to
+    1e-9 relative.
     """
     if not isinstance(branch, int) or branch < 0:
         raise DomainError(f"branch must be a nonnegative int, got {branch!r}")
@@ -176,6 +192,12 @@ def tune_to_scattering_length(
             f"target scattering length must be finite and nonzero, got {target_a!r}"
         )
     rw = template.range_Rw
+    x0_sq_per_depth = 2.0 * template.reduced_mass_mu * rw * rw
+    if x0_sq_per_depth == 0.0:
+        raise DomainError(
+            f"2*mu*Rw^2 underflows to zero for mu = {template.reduced_mass_mu!r}, "
+            f"Rw = {rw!r}; no depth can be tuned"
+        )
     pole = (branch + 0.5) * math.pi
 
     def g(x: float) -> float:
@@ -226,7 +248,7 @@ def tune_to_scattering_length(
             break
         x -= step
 
-    depth = x * x / (2.0 * template.reduced_mass_mu * rw * rw)
+    depth = x * x / x0_sq_per_depth
     tuned = replace(template, depth_V0=depth)
     achieved = _a_of_x(tuned.x0, rw)
     if abs(achieved - target_a) > 1e-9 * abs(target_a):

@@ -97,6 +97,16 @@ class TestDipoleLadder:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "coupling", ["--alpha=1e300", "--strength-a=1e300"], ids=["alpha", "strength"]
+    )
+    def test_degenerate_ladder_exits_2(self, capsys, coupling):
+        # Energies overflow to -inf (alpha) or stop shrinking (strength).
+        code, out, err = run(capsys, "dipole-ladder", coupling, "--n-max=2")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_alpha_and_strength_conflict(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["dipole-ladder", "--alpha", "1.0", "--strength-a", "1.25",
@@ -184,6 +194,21 @@ class TestScatteringLength:
         assert code == 2
         assert "--depth" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--depth=1e300", "--range=1", "--mass=0.5"),
+            ("--depth=1e-300", "--range=1", "--mass=1e-300"),
+            ("--tune-to=5", "--range=1e-200", "--mass=1"),
+        ],
+        ids=["x0-past-2**52", "x0-underflows", "range-underflows"],
+    )
+    def test_unrepresentable_well_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, "scattering-length", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
     def test_unreachable_target_exits_2(self, capsys):
         code, _, err = run(
             capsys, "scattering-length", "--tune-to", "0.5",
@@ -221,6 +246,15 @@ class TestEfimovCount:
         code, out, _ = run(capsys, "efimov-count", "--a", "inf", "--format", "json")
         assert code == 0
         assert out == '"unbounded"\n'
+
+    @pytest.mark.parametrize(
+        "a,r0,want",
+        [("1e-320", "1e308", "0\n"), ("1e308", "1e-308", "451\n")],
+        ids=["ratio-underflows", "ratio-overflows"],
+    )
+    def test_ratio_at_float_range_ends(self, capsys, a, r0, want):
+        code, out, err = run(capsys, "efimov-count", f"--a={a}", f"--r0={r0}")
+        assert (code, out, err) == (0, want, "")
 
     def test_bad_r0_exits_2(self, capsys):
         code, _, err = run(capsys, "efimov-count", "--a", "5.0", "--r0", "-1.0")
@@ -275,6 +309,22 @@ class TestEfimovLadder:
         payload = json.loads(out)
         assert payload["entries"][0]["classification"] == "bound"
         assert payload["entries"][1]["classification"] == "embedded"
+
+    def test_truncation_reported(self, capsys):
+        argv = ("efimov-ladder", "--alpha-eff", "1.0", "--ground-energy", "-1.0")
+        code, out, _ = run(capsys, *argv, "--count", "200")
+        assert code == 0
+        lines = out.splitlines()
+        assert parse_header(lines[0])["truncated_at"] == "113"
+        assert len(lines) == 1 + 113
+        _, out, _ = run(capsys, *argv, "--count", "200", "--format", "json")
+        payload = json.loads(out)
+        assert payload["truncated_at"] == 113
+        assert len(payload["entries"]) == 113
+        _, out, _ = run(capsys, *argv, "--count", "3", "--format", "json")
+        assert json.loads(out)["truncated_at"] is None
+        _, out, _ = run(capsys, *argv, "--count", "3")
+        assert "truncated_at" not in parse_header(out.splitlines()[0])
 
     def test_count_and_window_conflict(self, capsys):
         code, _, err = run(
@@ -490,6 +540,14 @@ class TestProfileFit:
             capsys, "profile-fit", "--in", str(tmp_path / "absent.csv")
         )
         assert code == 1
+        assert err.startswith("error:")
+
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("# caf\u00e9\n1.0,2.0\n".encode("latin-1"))
+        code, out, err = run(capsys, "profile-fit", "--in", str(path))
+        assert code == 2
+        assert out == ""
         assert err.startswith("error:")
 
     def test_monotone_curve_exits_2(self, capsys, tmp_path):

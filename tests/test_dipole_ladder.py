@@ -158,6 +158,15 @@ class TestBuildLadder:
         with pytest.raises(DomainError):
             build_ladder(1.0, n_max)
 
+    @pytest.mark.parametrize(
+        "alpha", [1e300, 1e150, 1e16], ids=["overflowing", "flat", "rounded-flat"]
+    )
+    def test_degenerate_ratio_raises(self, alpha):
+        # 1e300 overflows the energies to -inf; at 1e150 and 1e16 the
+        # ratio exp(-2*pi/alpha) rounds to 1 and levels stop shrinking.
+        with pytest.raises(DomainError):
+            build_ladder(alpha, 3)
+
 
 class TestGeometricEnergies:
     def test_matches_build_ladder(self):
@@ -186,3 +195,15 @@ class TestGeometricEnergies:
     def test_bad_count(self):
         with pytest.raises(DomainError):
             geometric_energies(-1.0, 1.0, -2)
+
+    def test_stops_before_subnormal(self):
+        # At alpha = 1 each level shrinks by exp(-2*pi); level 113 is the
+        # first below the normal float range, level 119 the first zero.
+        tower = geometric_energies(-1.0, 1.0, 200)
+        assert len(tower) == 113
+        assert abs(tower[-1]) >= sys.float_info.min
+        assert math.exp(-2.0 * math.pi * 113) < sys.float_info.min
+
+    def test_flat_ratio_raises(self):
+        with pytest.raises(DomainError):
+            geometric_energies(-1.0, 1e300, 2)

@@ -7,7 +7,6 @@ import pytest
 from efano.efimov import (
     UNBOUNDED,
     EfimovLadder,
-    EfimovWindow,
     ThresholdPartition,
     build_efimov_ladder,
     classify_states_vs_threshold,
@@ -59,22 +58,19 @@ class TestCountStates:
         with pytest.raises(DomainError):
             count_states(math.nan, 1.0)
 
+    @pytest.mark.parametrize(
+        "a,r0,count",
+        [(1e-320, 1e308, 0), (1e308, 1e-308, 451), (-1e308, 5e-324, 462)],
+        ids=["ratio-underflows", "ratio-overflows", "ratio-overflows-negative-a"],
+    )
+    def test_ratio_at_float_range_ends(self, a, r0, count):
+        # Expected counts are floor(ln(|a|/r0)/pi) in 40-digit arithmetic.
+        assert count_states(a, r0) == count
+
     @pytest.mark.parametrize("r0", [0.0, -1.0, math.nan, math.inf])
     def test_bad_range(self, r0):
         with pytest.raises(DomainError):
             count_states(1.0, r0)
-
-
-class TestEfimovWindow:
-    def test_from_lengths(self):
-        w = EfimovWindow.from_lengths(-100.0, 1.0)
-        assert w.a == -100.0
-        assert w.r0 == 1.0
-        assert w.predicted_count == count_states(-100.0, 1.0)
-
-    def test_from_lengths_rejects_infinite(self):
-        with pytest.raises(DomainError):
-            EfimovWindow.from_lengths(math.inf, 1.0)
 
 
 class TestBuildEfimovLadder:
@@ -101,6 +97,12 @@ class TestBuildEfimovLadder:
     def test_requires_at_least_one_state(self, count):
         with pytest.raises(DomainError):
             build_efimov_ladder(1.0, -1.0, count)
+
+    def test_truncates_before_subnormal(self):
+        ladder = build_efimov_ladder(1.0, -1.0, 200)
+        assert ladder.truncated_at == 113
+        assert [n for n, _ in ladder.entries] == list(range(113))
+        assert build_efimov_ladder(1.0, -1.0, 113).truncated_at is None
 
     def test_propagates_energy_validation(self):
         with pytest.raises(DomainError):

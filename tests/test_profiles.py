@@ -59,15 +59,6 @@ class TestBreitWigner:
         for delta in (0.125, 0.25, 1.0, 3.5):
             assert breit_wigner(p.E_r + delta, p) == breit_wigner(p.E_r - delta, p)
 
-    def test_amplitude_form_is_equivalent(self):
-        p = BreitWignerParameters(E_r=1.0, Gamma=0.4, sigma0=5.0)
-        alt = BreitWignerParameters.from_amplitude(1.0, 0.4, p.amplitude_A)
-        assert alt.sigma0 == pytest.approx(p.sigma0, rel=1e-15)
-        for e in (0.3, 0.9, 1.0, 1.7):
-            direct = breit_wigner(e, p)
-            amplitude = p.amplitude_A / ((e - p.E_r) ** 2 + (0.5 * p.Gamma) ** 2)
-            assert amplitude == pytest.approx(direct, rel=1e-14)
-
 
 class TestFano:
     def test_interference_zero_is_exact(self):
@@ -138,7 +129,6 @@ class TestCrossSectionCurve:
     def test_samples_and_len(self):
         curve = CrossSectionCurve([1.0, 2.0, 3.0], [0.5, 0.0, 2.0], {"tag": 1})
         assert len(curve) == 3
-        assert curve.samples == [(1.0, 0.5), (2.0, 0.0), (3.0, 2.0)]
         assert curve.meta == {"tag": 1}
 
     def test_meta_is_copied(self):

@@ -80,6 +80,18 @@ class TestScatteringLength:
         assert scattering_length(well_with_x0(0.8)).a < 0.0
         assert scattering_length(well_with_x0(2.4)).a > 1.0
 
+    @pytest.mark.parametrize(
+        "depth,mass",
+        [(1e300, 0.5), (1e-300, 1e-300), (1e300, 1e300)],
+        ids=["x0-past-2**52", "x0-underflows", "x0-overflows"],
+    )
+    def test_unrepresentable_strength_raises(self, depth, mass):
+        well = SquareWell(depth_V0=depth, range_Rw=1.0, reduced_mass_mu=mass)
+        with pytest.raises(DomainError):
+            scattering_length(well)
+        with pytest.raises(DomainError):
+            binding_energy(well)
+
     def test_shallow_well_expansion(self):
         # For x0 -> 0, a/Rw = 1 - tan(x0)/x0 = -x0**2/3 + O(x0**4).
         x0 = 1e-4
@@ -169,6 +181,12 @@ class TestTuneToScatteringLength:
         template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
         with pytest.raises(UnreachableTargetError):
             tune_to_scattering_length(template, target)
+
+    def test_underflowing_geometry_raises(self):
+        # 2*mu*Rw^2 = 2e-400 underflows to 0, so no depth reaches x0.
+        template = SquareWell(depth_V0=1.0, range_Rw=1e-200, reduced_mass_mu=1.0)
+        with pytest.raises(DomainError):
+            tune_to_scattering_length(template, 5.0)
 
     @pytest.mark.parametrize("branch", [-1, 0.5, "1"])
     def test_bad_branch(self, branch):
