@@ -43,6 +43,16 @@ __all__ = ["main"]
 # --model values and the parameter class each selects.
 _MODELS = {"fano": FanoParameters, "bw": BreitWignerParameters}
 
+# Most levels either ladder command emits.  A near-flat ladder (alpha
+# ~ 1e6) stays in the normal float range for ~1e8 levels, so an
+# unchecked --count or --n-max could ask for tens of GB.
+MAX_LEVELS = 10_000
+
+
+def _check_levels(levels: int) -> None:
+    if levels > MAX_LEVELS:
+        raise DomainError(f"{levels} levels requested; at most {MAX_LEVELS} are allowed")
+
 
 def _cell(x) -> str:
     if x is None:
@@ -74,6 +84,7 @@ def _json(obj) -> str:
 
 
 def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
+    _check_levels(args.n_max + 1)
     if args.alpha is not None:
         alpha = args.alpha
     else:
@@ -148,6 +159,7 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> str:
             )
     else:
         count = args.count
+    _check_levels(count)
     ladder = build_efimov_ladder(args.alpha_eff, args.ground_energy, count)
     columns: tuple[str, ...] = ("n", "energy")
     rows = ladder.entries
@@ -287,7 +299,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="coupling a of the -a/(2 r^2) potential; must exceed 1/4",
     )
     p.add_argument("--n-max", dest="n_max", type=int, required=True,
-                   help="deepest level is n=0; emit levels through n_max")
+                   help="deepest level is n=0; emit levels through n_max "
+                        f"(at most {MAX_LEVELS - 1})")
     p.add_argument("--scale", type=float, default=2.0,
                    help="inverse-length prefactor of kappa (default: %(default)s)")
     _add_common(p)
@@ -326,7 +339,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         "close to 1 for three identical bosons")
     p.add_argument("--ground-energy", dest="ground_energy", type=float, required=True,
                    help="deepest tower energy (negative)")
-    p.add_argument("--count", type=int, help="number of levels to emit")
+    p.add_argument("--count", type=int,
+                   help=f"number of levels to emit (at most {MAX_LEVELS})")
     p.add_argument("--a", type=float, help="derive the count from --a and --r0")
     p.add_argument("--r0", type=float, help="interaction range for the derived count")
     p.add_argument("--threshold", type=float,

@@ -1,4 +1,4 @@
-"""Scalar numerical kernels: complex log-gamma, bracketing root finder,
+"""Numerical kernels: complex log-gamma, bracketing root finder,
 and a reproducible Gaussian deviate source.
 
 These are deliberately self-contained so the physics modules above them
@@ -11,6 +11,8 @@ from __future__ import annotations
 import cmath
 import math
 from typing import Callable
+
+import numpy as np
 
 from .errors import ConvergenceError, DomainError, GammaPoleError, NoBracketError
 
@@ -164,27 +166,31 @@ def find_root(
 # published parameters).  Chosen over a library generator so the exact
 # deviate stream is pinned by this file alone and golden outputs stay
 # byte-stable across library upgrades.
-_SM64_GAMMA = 0x9E3779B97F4A7C15
-_SM64_MIX1 = 0xBF58476D1CE4E5B9
-_SM64_MIX2 = 0x94D049BB133111EB
+_SM64_GAMMA = np.uint64(0x9E3779B97F4A7C15)
+_SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
 
-class _SplitMix64:
-    def __init__(self, seed: int):
-        self._state = seed & _U64
+def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
+    """SplitMix64 outputs start+1 .. start+count, mapped to (0, 1).
 
-    def next_u64(self) -> int:
-        self._state = (self._state + _SM64_GAMMA) & _U64
-        z = self._state
-        z = ((z ^ (z >> 30)) * _SM64_MIX1) & _U64
-        z = ((z ^ (z >> 27)) * _SM64_MIX2) & _U64
-        return z ^ (z >> 31)
-
-    def next_unit_open(self) -> float:
-        # Uniform on (0, 1): take 53 bits, then offset by half an ulp
-        # so 0.0 is never produced (the polar method divides by it).
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53)) + (0.5 / (1 << 53))
+    uint64 arrays wrap on overflow, which gives the states' mod 2^64.
+    """
+    z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    z *= _SM64_GAMMA
+    z += np.uint64(seed)
+    z ^= z >> np.uint64(30)
+    z *= _SM64_MIX1
+    z ^= z >> np.uint64(27)
+    z *= _SM64_MIX2
+    z ^= z >> np.uint64(31)
+    # Take 53 bits, then offset by half an ulp so 0.0 is never produced
+    # (the polar method divides by it).
+    x = (z >> np.uint64(11)).astype(np.float64)
+    x *= 1.0 / (1 << 53)
+    x += 0.5 / (1 << 53)
+    return x
 
 
 def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
@@ -195,6 +201,17 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
     the same seed yields bit-identical output on every platform and
     library version.  Equal seeds give equal streams; sigma scales the
     unit stream exactly.
+
+    SplitMix64 is counter-based: its k-th output (k = 1, 2, ...) mixes
+    the state seed + k*0x9E3779B97F4A7C15 mod 2^64, with the seed taken
+    mod 2^64.  Consecutive outputs form (u, v) pairs on (-1, 1); a pair
+    is accepted when s = u*u + v*v lies in (0, 1), and gives the two
+    deviates sigma*(u*m) and sigma*(v*m), m = sqrt(-2 log(s) / s), in
+    that order; an odd n drops the last v.  The pairs are drawn in
+    blocks of the stream and screened with a mask, keeping their order.
+    log(s) is taken with math.log on the accepted values: numpy's
+    vectorised log is not correctly rounded and would change the last
+    bit of some deviates.
     """
     if not isinstance(seed, int):
         raise DomainError(f"seed must be an int, got {type(seed).__name__}")
@@ -202,20 +219,30 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
         raise DomainError(f"sample count must be a nonnegative int, got {n!r}")
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
-    rng = _SplitMix64(seed)
-    out: list[float] = []
-    spare: float | None = None
-    while len(out) < n:
-        if spare is not None:
-            out.append(sigma * spare)
-            spare = None
-            continue
-        u = 2.0 * rng.next_unit_open() - 1.0
-        v = 2.0 * rng.next_unit_open() - 1.0
+    if n == 0:
+        return []
+    seed &= _U64
+    uv_blocks: list[np.ndarray] = []
+    s_blocks: list[np.ndarray] = []
+    left = (n + 1) // 2
+    drawn = 0
+    while left > 0:
+        # About pi/4 of the pairs are accepted; a third more than needed
+        # plus a few rarely falls short, and a short block is topped up.
+        size = left + left // 3 + 16
+        uv = _unit_open(seed, drawn, 2 * size).reshape(size, 2)
+        drawn += 2 * size
+        uv *= 2.0
+        uv -= 1.0
+        u, v = uv[:, 0], uv[:, 1]
         s = u * u + v * v
-        if s >= 1.0 or s == 0.0:
-            continue
-        m = math.sqrt(-2.0 * math.log(s) / s)
-        out.append(sigma * (u * m))
-        spare = v * m
-    return out
+        keep = np.flatnonzero((s < 1.0) & (s != 0.0))[:left]
+        uv_blocks.append(uv[keep])
+        s_blocks.append(s[keep])
+        left -= keep.size
+    uv = np.concatenate(uv_blocks)
+    s = np.concatenate(s_blocks)
+    log_s = np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
+    m = np.sqrt(-2.0 * log_s / s)
+    out = sigma * (uv * m[:, None])
+    return out.ravel()[:n].tolist()

@@ -11,7 +11,8 @@ import sys
 
 import pytest
 
-from efano.cli import main
+from efano import cli
+from efano.cli import MAX_LEVELS, main
 
 KAPPA0_ALPHA_ONE = 0.3074971479608985
 
@@ -106,6 +107,18 @@ class TestDipoleLadder:
         assert code == 2
         assert out == ""
         assert err.startswith("error:")
+
+    def test_level_cap(self, capsys, monkeypatch):
+        # n-max = MAX_LEVELS - 1 is the last value accepted (a steep
+        # ladder, cut short long before); one more exits 2 before any
+        # ladder is built.
+        code, _, _ = run(capsys, "dipole-ladder", "--alpha=1.0", f"--n-max={MAX_LEVELS - 1}")
+        assert code == 0
+        monkeypatch.setattr(cli, "build_ladder", None)
+        code, out, err = run(capsys, "dipole-ladder", "--alpha=1.0", f"--n-max={MAX_LEVELS}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_LEVELS) in err
 
     def test_alpha_and_strength_conflict(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -325,6 +338,16 @@ class TestEfimovLadder:
         assert json.loads(out)["truncated_at"] is None
         _, out, _ = run(capsys, *argv, "--count", "3")
         assert "truncated_at" not in parse_header(out.splitlines()[0])
+
+    def test_level_cap(self, capsys, monkeypatch):
+        argv = ("efimov-ladder", "--alpha-eff=1.0", "--ground-energy=-1.0")
+        code, _, _ = run(capsys, *argv, f"--count={MAX_LEVELS}")
+        assert code == 0
+        monkeypatch.setattr(cli, "build_efimov_ladder", None)
+        code, out, err = run(capsys, *argv, f"--count={MAX_LEVELS + 1}")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and str(MAX_LEVELS) in err
 
     def test_count_and_window_conflict(self, capsys):
         code, _, err = run(

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from efano import numkit
 from efano.errors import ConvergenceError, DomainError, GammaPoleError, NoBracketError
 from efano.numkit import find_root, log_gamma, seeded_gaussian_noise
 
-from oracles import log_gamma_reference
+from oracles import gaussian_noise_reference, log_gamma_reference
 
 # Frozen from the product-formula reference before the implementation
 # existed; see tests/oracles.py for its provenance.
@@ -102,6 +103,18 @@ class TestLogGamma:
             b = log_gamma(z.conjugate())
             assert a.real == b.real and a.imag == -b.imag
 
+    @pytest.mark.parametrize("x", [-3.5, 0.5, 1.0, 40.0])
+    def test_matches_mpmath_at_large_imaginary_parts(self, x):
+        # The huge-alpha ladder path evaluates log Gamma(1 - i*alpha)
+        # far up the imaginary axis; pin it against 40-digit mpmath.
+        mpmath = pytest.importorskip("mpmath")
+        ys = [s * m * 10.0**e for e in range(-8, 16) for m in (1.0, 3.7) for s in (1.0, -1.0)]
+        for y in (y for y in ys if abs(y) <= 1e15):
+            with mpmath.workdps(40):
+                want = complex(mpmath.loggamma(mpmath.mpc(x, y)))
+            got = log_gamma(complex(x, y))
+            assert abs(got - want) <= 1e-14 * max(1.0, abs(want)), (x, y)
+
     @pytest.mark.parametrize("z", [0.0, -1.0, -2.0, -17.0])
     def test_pole_inputs_raise(self, z):
         with pytest.raises(GammaPoleError):
@@ -157,7 +170,42 @@ class TestFindRoot:
         assert a == b
 
 
+NOISE_SEEDS = [0, -1, (1 << 63) - 1, (1 << 64) - 1, (1 << 64) + 5]
+NOISE_SIGMAS = [0.0, 1.0, 2.5, 1e-300]
+
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
 class TestSeededNoise:
+    # The scalar oracle yields the stream one deviate at a time, so its
+    # first n deviates are the whole answer for every shorter n.
+    @pytest.mark.parametrize("seed", NOISE_SEEDS)
+    @pytest.mark.parametrize("sigma", NOISE_SIGMAS)
+    def test_matches_scalar_reference_bit_for_bit(self, seed, sigma):
+        want = _hex(gaussian_noise_reference(seed, 20000, sigma))
+        for n in range(301):
+            assert _hex(seeded_gaussian_noise(seed, n, sigma)) == want[:n], n
+        for n in (1999, 2000, 2001, 20000):
+            assert _hex(seeded_gaussian_noise(seed, n, sigma)) == want[:n], n
+
+    @pytest.mark.parametrize("seed, n", [(2890, 200), (1093, 301)])
+    def test_short_first_block_is_topped_up(self, seed, n, monkeypatch):
+        # These (seed, n) reject more pairs than the first block holds
+        # spare, so the stream continues in a second block.
+        blocks = []
+        draw = numkit._unit_open
+
+        def counting(*args):
+            blocks.append(args)
+            return draw(*args)
+
+        monkeypatch.setattr(numkit, "_unit_open", counting)
+        got = seeded_gaussian_noise(seed, n, 1.0)
+        assert len(blocks) > 1
+        assert _hex(got) == _hex(gaussian_noise_reference(seed, n, 1.0))
+
     def test_same_seed_same_stream(self):
         assert seeded_gaussian_noise(42, 64, 1.0) == seeded_gaussian_noise(42, 64, 1.0)
 
