@@ -59,7 +59,6 @@ from .twobody import (
     ScatteringLengthResult,
     SquareWell,
     binding_energy,
-    low_energy_cross_section,
     scattering_length,
     tune_to_scattering_length,
 )

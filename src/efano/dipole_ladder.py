@@ -78,7 +78,11 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
         raise DomainError(f"level index must be a nonnegative int, got {n!r}")
     if not (math.isfinite(scale) and scale > 0.0):
         raise DomainError(f"scale must be finite and positive, got {scale!r}")
-    phase = (n + 0.5) * math.pi + arg_gamma_term(alpha)
+    return _kappa(alpha, arg_gamma_term(alpha), n, scale)
+
+
+def _kappa(alpha: float, arg_gamma: float, n: int, scale: float) -> float:
+    phase = (n + 0.5) * math.pi + arg_gamma
     return scale * math.exp(-phase / alpha)
 
 
@@ -151,20 +155,24 @@ def _take_levels(levels) -> tuple[list, int | None]:
 def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder:
     """Levels n = 0 .. n_max, truncated before energies go subnormal.
 
-    Each kappa comes from the closed form in kappa_n, so consecutive
-    energies keep the geometric ratio exp(-2*pi/alpha) to rounding
-    level.  Levels whose |epsilon| would land below the normal float
-    range are dropped rather than returned as denormal noise, and the
-    first dropped index is reported as truncated_at.  An alpha so large
+    Each kappa comes from the closed form in kappa_n, with arg Gamma
+    computed once per ladder, so consecutive energies keep the
+    geometric ratio exp(-2*pi/alpha) to rounding level.  Levels whose
+    |epsilon| would land below the normal float range are dropped
+    rather than returned as denormal noise, and the first dropped index
+    is reported as truncated_at.  An alpha so large
     that the energies overflow or stop shrinking raises DomainError.
     """
     _check_alpha(alpha)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
+    if not (math.isfinite(scale) and scale > 0.0):
+        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    arg_gamma = arg_gamma_term(alpha)
 
     def levels():
         for n in range(n_max + 1):
-            kappa = kappa_n(alpha, n, scale=scale)
+            kappa = _kappa(alpha, arg_gamma, n, scale)
             epsilon = -0.5 * kappa * kappa
             yield epsilon, LadderEntry(n=n, kappa=kappa, epsilon=epsilon)
 

@@ -90,16 +90,16 @@ def find_root(
 ) -> float:
     """Locate a root of f in [lo, hi] by Brent's method.
 
-    Requires lo < hi, tol > 0, and f(lo) * f(hi) <= 0.  An endpoint
+    Requires lo <= hi, tol > 0, and f(lo) * f(hi) <= 0.  An endpoint
     where f vanishes exactly is returned as the root.  Convergence is
     declared when the bracket width falls below tol plus a few ulp of
     the iterate, so a tol at rounding level still terminates.
 
-    Raises NoBracketError when the endpoints do not straddle a sign
-    change and ConvergenceError when max_iter iterations pass without
-    the bracket collapsing.
+    Raises NoBracketError when the endpoint values do not straddle a
+    sign change (a NaN value never does) and ConvergenceError when
+    max_iter iterations pass without the bracket collapsing.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
+    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo <= hi:
         raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
@@ -109,9 +109,9 @@ def find_root(
         return lo
     if fb == 0.0:
         return hi
-    if (fa > 0.0) == (fb > 0.0):
+    if not (fa < 0.0 < fb or fb < 0.0 < fa):
         raise NoBracketError(
-            f"f({lo!r}) = {fa!r} and f({hi!r}) = {fb!r} have the same sign"
+            f"f({lo!r}) = {fa!r} and f({hi!r}) = {fb!r} do not straddle zero"
         )
 
     a, b = lo, hi

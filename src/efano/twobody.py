@@ -17,9 +17,10 @@ handle this module exposes for dialing a to any prescribed value.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
-from .errors import ConvergenceError, DomainError, UnreachableTargetError
+from .errors import ConvergenceError, DomainError, NoBracketError, UnreachableTargetError
 from .numkit import find_root
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "scattering_length",
     "binding_energy",
     "tune_to_scattering_length",
-    "low_energy_cross_section",
 ]
 
 DEFAULT_UNITARITY_TOL = 1e-12
@@ -118,52 +118,46 @@ def scattering_length(
     )
 
 
+def _solve(f, lo: float, hi: float) -> float:
+    """Root of f in [lo, hi] to rounding level (find_root's 2-ulp floor).
+
+    When f(lo) and f(hi) do not straddle a sign change (a NaN never
+    does) the endpoint with the smaller |f| stands in for the root;
+    callers judge the result by their own accuracy test.
+    """
+    try:
+        return find_root(f, lo, hi, sys.float_info.min)
+    except NoBracketError:
+        return lo if abs(f(lo)) <= abs(f(hi)) else hi
+
+
 def binding_energy(well: SquareWell) -> float | None:
     """Energy of the shallowest bound state, or None if there is none.
 
-    Solves the even-parity matching condition x' * cot(x') = -sqrt(x0^2
-    - x'^2) for the largest root x' and returns epsilon = -(x0^2 -
-    x'^2) / (2 * mu * Rw^2), which is negative.  For a well holding M
-    states that root lies in ((M - 1/2)*pi, M*pi), and it approaches x0
-    itself as the state becomes weakly bound, where |epsilon| tends to
-    the universal value 1/(2 * mu * a^2).
+    With y = kappa * Rw and x' = sqrt(x0^2 - y^2) the interior wave
+    number, the even-parity matching condition x' * cot(x') = -y reads
+    x' cos x' + y sin x' = 0, which has no pole.  For a well holding M
+    states the outermost root has x' in ((M - 1/2)*pi, min(x0, M*pi)),
+    which maps to a closed-form bracket in y.  Solving for y itself
+    keeps the relative accuracy of epsilon = -y^2 / (2 * mu * Rw^2) as
+    the state becomes weakly bound, where |epsilon| tends to the
+    universal value 1/(2 * mu * a^2).
     """
     x0 = _strength(well)
     m = _bound_count(x0)
     if m == 0:
         return None
-    lo = (m - 0.5) * math.pi
 
-    def matching(xp: float) -> float:
-        return xp * math.cos(xp) / math.sin(xp) + math.sqrt(
-            max((x0 - xp) * (x0 + xp), 0.0)
-        )
+    def other(u: float) -> float:
+        # x'^2 + y^2 = x0^2 maps x' to y and y to x' alike.
+        return math.sqrt(max((x0 - u) * (x0 + u), 0.0))
 
-    if x0 < m * math.pi:
-        hi = x0
-        f_hi = x0 * math.cos(x0) / math.sin(x0)
-    else:
-        # The root is interior; back off the cotangent pole at m*pi
-        # until the endpoint value is negative.
-        delta = 1e-8 * math.pi
-        hi = m * math.pi - delta
-        f_hi = matching(hi)
-        while f_hi >= 0.0 and delta > 4.0 * math.ulp(m * math.pi):
-            delta /= 16.0
-            hi = m * math.pi - delta
-            f_hi = matching(hi)
-    f_lo = matching(lo)
-    if f_lo <= 0.0 or f_hi >= 0.0 or hi <= lo:
-        # Only reachable when the well sits at rounding distance from
-        # threshold, where the state is marginal and epsilon ~ -0.
-        return -max((x0 - lo) * (x0 + lo), 0.0) / (
-            2.0 * well.reduced_mass_mu * well.range_Rw**2
-        )
-    tol = max(1e-13, 8.0 * math.ulp(max(1.0, x0)))
-    root = find_root(matching, lo, hi, tol)
-    return -((x0 - root) * (x0 + root)) / (
-        2.0 * well.reduced_mass_mu * well.range_Rw**2
-    )
+    def matching(y: float) -> float:
+        xp = other(y)
+        return xp * math.cos(xp) + y * math.sin(xp)
+
+    y = _solve(matching, other(min(x0, m * math.pi)), other((m - 0.5) * math.pi))
+    return -y * y / (2.0 * well.reduced_mass_mu * well.range_Rw**2)
 
 
 def tune_to_scattering_length(
@@ -183,7 +177,8 @@ def tune_to_scattering_length(
     requested branch (zero, non-finite, or 0 < target_a < Rw with
     branch 0), DomainError when 2*mu*Rw^2 underflows to zero, and
     ConvergenceError if the depth solve fails to reproduce target_a to
-    1e-9 relative.
+    1e-9 relative, as happens once the target is too large for any
+    float64 depth to represent.
     """
     if not isinstance(branch, int) or branch < 0:
         raise DomainError(f"branch must be a nonnegative int, got {branch!r}")
@@ -198,53 +193,38 @@ def tune_to_scattering_length(
             f"2*mu*Rw^2 underflows to zero for mu = {template.reduced_mass_mu!r}, "
             f"Rw = {rw!r}; no depth can be tuned"
         )
-    pole = (branch + 0.5) * math.pi
-
-    def g(x: float) -> float:
-        return _a_of_x(x, rw) - target_a
-
-    if target_a >= rw:
-        # Falling side of the divergence: a sweeps +inf down to Rw at
-        # (branch+1)*pi.  Extend slightly past so a == Rw brackets too.
-        hi = (branch + 1) * math.pi + 1e-6
-        delta = 1e-6
-        lo = pole + delta
-        while g(lo) <= 0.0 and delta > 4.0 * math.ulp(pole):
-            delta /= 16.0
-            lo = pole + delta
-    elif branch == 0 and target_a > 0.0:
+    if branch == 0 and 0.0 < target_a < rw:
         raise UnreachableTargetError(
             f"branch 0 reaches no scattering length in (0, Rw); "
             f"got target {target_a!r} with Rw = {rw!r}"
         )
+    pole = (branch + 0.5) * math.pi
+    if target_a >= rw:
+        # Falling side: a sweeps +inf down to Rw at (branch+1)*pi; the
+        # end sits slightly past it so that a == Rw is bracketed too.
+        lo, hi = pole, (branch + 1) * math.pi + 1e-6
     else:
-        # Rising side: a sweeps Rw (resp. 0 for branch 0) down to -inf.
-        lo = branch * math.pi if branch >= 1 else 1e-8
-        delta = 1e-6
-        hi = pole - delta
-        while g(hi) >= 0.0 and delta > 4.0 * math.ulp(pole):
-            delta /= 16.0
-            hi = pole - delta
+        # Rising side: a sweeps Rw (0 on branch 0) down to -inf.
+        lo, hi = (branch * math.pi if branch >= 1 else 1e-8), pole
 
-    if g(lo) <= 0.0:
-        x = lo
-    elif g(hi) >= 0.0:
-        x = hi
-    else:
-        x = find_root(g, lo, hi, max(1e-13, 4.0 * math.ulp(hi)))
+    # a(x) = target  <=>  h(x) = sin x - (1 - target/Rw) * x * cos x = 0,
+    # which is a(x) - target times -x cos x / Rw: the same roots, no pole.
+    c = 1.0 - target_a / rw
+    x = _solve(lambda x: math.sin(x) - c * x * math.cos(x), lo, hi)
 
-    # Newton polish in x; the derivative of a is -Rw*(x - sin x cos x)
-    # / (x*cos x)^2, strictly negative away from the poles.
+    # Newton polish on a(x) itself, whose derivative is -Rw*(x - sin x
+    # cos x) / (x*cos x)^2: the root of h need not be the float x whose
+    # a(x) lies closest to the target.
     for _ in range(3):
-        resid = g(x)
+        resid = _a_of_x(x, rw) - target_a
         if abs(resid) <= 1e-12 * max(abs(target_a), rw):
             break
         cx = math.cos(x)
         slope = -rw * (x - math.sin(x) * cx) / (x * x * cx * cx)
-        if slope == 0.0 or not math.isfinite(slope):
+        if slope == 0.0:
             break
         step = resid / slope
-        if x - step <= branch * math.pi or not math.isfinite(step):
+        if not lo <= x - step <= hi:
             break
         x -= step
 
@@ -254,20 +234,8 @@ def tune_to_scattering_length(
     if abs(achieved - target_a) > 1e-9 * abs(target_a):
         raise ConvergenceError(
             f"depth solve reached a = {achieved!r} for target {target_a!r} "
-            f"on branch {branch}, outside 1e-9 relative"
+            f"on branch {branch}, outside 1e-9 relative: a(x0) has a relative "
+            f"condition number of ~|a|*x0^2/Rw = {abs(target_a) * x * x / rw:.3g}, "
+            f"so the target is not representable with a float64 depth"
         )
     return tuned
-
-
-def low_energy_cross_section(a: float, k: float) -> float:
-    """Total s-wave cross section 4*pi*a^2 / (1 + (k*a)^2).
-
-    k is the relative wave number; k = 0 gives the zero-energy limit
-    4*pi*a^2.
-    """
-    if not math.isfinite(a):
-        raise DomainError(f"scattering length must be finite, got {a!r}")
-    if not (math.isfinite(k) and k >= 0.0):
-        raise DomainError(f"wave number must be finite and nonnegative, got {k!r}")
-    ka = k * a
-    return 4.0 * math.pi * a * a / (1.0 + ka * ka)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from efano import dipole_ladder
 from efano.dipole_ladder import (
     CRITICAL_STRENGTH,
     BoundLadder,
@@ -17,6 +18,7 @@ from efano.dipole_ladder import (
     ladder_residual,
 )
 from efano.errors import DomainError, SubcriticalStrengthError
+from efano.numkit import log_gamma
 
 from oracles import arg_gamma_reference
 
@@ -152,6 +154,28 @@ class TestBuildLadder:
         ladder = build_ladder(1.0, 0)
         assert len(ladder.entries) == 1
         assert ladder.entries[0].n == 0
+
+    def test_levels_match_kappa_n_bit_for_bit(self):
+        ladder = build_ladder(0.8, 12, scale=5.0)
+        assert [e.kappa for e in ladder.entries] == [
+            kappa_n(0.8, n, scale=5.0) for n in range(13)
+        ]
+
+    def test_arg_gamma_computed_once_per_ladder(self, monkeypatch):
+        calls = []
+
+        def counting(z):
+            calls.append(z)
+            return log_gamma(z)
+
+        monkeypatch.setattr(dipole_ladder, "log_gamma", counting)
+        assert len(build_ladder(1.0, 40).entries) == 41
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
+    def test_bad_scale(self, scale):
+        with pytest.raises(DomainError):
+            build_ladder(1.0, 3, scale=scale)
 
     @pytest.mark.parametrize("n_max", [-1, 3.5])
     def test_bad_n_max(self, n_max):

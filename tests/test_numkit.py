@@ -148,6 +148,17 @@ class TestFindRoot:
         with pytest.raises(NoBracketError):
             find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
+    def test_point_bracket(self):
+        assert find_root(lambda x: x - 2.0, 2.0, 2.0, 1e-12) == 2.0
+        with pytest.raises(NoBracketError):
+            find_root(lambda x: x, 2.0, 2.0, 1e-12)
+
+    @pytest.mark.parametrize("nan_at", [1.0, 3.0])
+    def test_nan_endpoint_raises(self, nan_at):
+        f = lambda x: math.nan if x == nan_at else x - 2.0
+        with pytest.raises(NoBracketError):
+            find_root(f, 1.0, 3.0, 1e-12)
+
     def test_invalid_bracket_raises(self):
         with pytest.raises(DomainError):
             find_root(lambda x: x, 2.0, 1.0, 1e-12)

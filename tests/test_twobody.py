@@ -1,6 +1,7 @@
 """Tests for the attractive square-well two-body model."""
 
 import math
+import sys
 
 import pytest
 
@@ -9,7 +10,6 @@ from efano.twobody import (
     DEFAULT_UNITARITY_TOL,
     SquareWell,
     binding_energy,
-    low_energy_cross_section,
     scattering_length,
     tune_to_scattering_length,
 )
@@ -123,6 +123,57 @@ class TestBindingEnergy:
         eps = binding_energy(well)
         assert -well.depth_V0 < eps < 0.0
 
+    @pytest.mark.parametrize("m", [1, 2, 3, 7, 100])
+    def test_zero_at_threshold(self, m):
+        # At x0 = (m - 1/2)*pi the outermost state sits at threshold and
+        # its bracket in kappa*Rw collapses to the single point 0.
+        well = well_with_x0((m - 0.5) * math.pi)
+        assert scattering_length(well).bound_state_count == m
+        assert binding_energy(well) == 0.0
+
+    def test_zero_when_count_rounds_up_below_threshold(self):
+        # One ulp below pi/2, floor(x0/pi + 1/2) still rounds up to 1.
+        well = well_with_x0(math.nextafter(math.pi / 2.0, 0.0))
+        assert scattering_length(well).bound_state_count == 1
+        assert binding_energy(well) == 0.0
+
+    @pytest.mark.parametrize(
+        "branch,sign", [(0, 1.0), (1, 1.0), (2, 1.0), (3, 1.0), (1, -1.0), (2, -1.0), (3, -1.0)]
+    )
+    def test_matches_mpmath_on_tuned_wells(self, branch, sign):
+        # Compare with the exact root for the same float x0 (branch 0
+        # wells with a < 0 hold no bound state).  Rounding in x' ~ x0
+        # leaves an absolute error ~eps*x0^2 in the matching condition,
+        # so the relative error in epsilon may grow like |a|*x0^2/Rw,
+        # which is the condition number of a(x0).
+        mpmath = pytest.importorskip("mpmath")
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        checked = 0
+        for k in range(17):
+            target = sign * 10.0 ** (2.0 + k / 4.0)
+            try:
+                well = tune_to_scattering_length(template, target, branch=branch)
+            except ConvergenceError:
+                continue
+            eps = binding_energy(well)
+            if eps is None:
+                continue
+            x0, rw, mu = well.x0, well.range_Rw, well.reduced_mass_mu
+            with mpmath.workdps(50):
+                big_x0 = mpmath.mpf(x0)
+
+                def matching(y):
+                    xp = mpmath.sqrt(big_x0**2 - y**2)
+                    return xp * mpmath.cos(xp) + y * mpmath.sin(xp)
+
+                y = mpmath.findroot(matching, mpmath.sqrt(-2.0 * mu * eps) * rw)
+                want = -(y**2) / (2 * mpmath.mpf(mu) * mpmath.mpf(rw) ** 2)
+                rel = float(abs((eps - want) / want))
+            bound = 16.0 * sys.float_info.epsilon * (1.0 + abs(target) * x0 * x0 / rw)
+            assert rel <= bound, (target, branch, rel / bound)
+            checked += 1
+        assert checked >= 8
+
     def test_deeper_well_binds_harder(self):
         shallow = binding_energy(well_with_x0(1.8))
         deep = binding_energy(well_with_x0(2.6))
@@ -188,6 +239,33 @@ class TestTuneToScatteringLength:
         with pytest.raises(DomainError):
             tune_to_scattering_length(template, 5.0)
 
+    @pytest.mark.parametrize("branch", [0, 1, 2, 3, 4, 5])
+    def test_target_equal_to_range(self, branch):
+        # a == Rw sits at the zero of tan on the far side of the pole.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        tuned = tune_to_scattering_length(template, 1.0, branch=branch)
+        assert scattering_length(tuned).a == pytest.approx(1.0, rel=1e-9)
+        assert scattering_length(tuned).bound_state_count == branch + 1
+
+    @pytest.mark.parametrize(
+        "target,branch", [(-5e-324, 0), (1e300, 0), (1e15, 1), (-1e15, 1), (-1e300, 3)]
+    )
+    def test_unrepresentable_target_raises(self, target, branch):
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        with pytest.raises(ConvergenceError) as info:
+            tune_to_scattering_length(template, target, branch=branch)
+        message = str(info.value)
+        assert "1e-9 relative" in message
+        assert "condition number of ~|a|*x0^2/Rw" in message
+        assert "not representable with a float64 depth" in message
+
+    def test_newton_polish_stays_on_branch(self):
+        # At the far end of branch 3 a Newton step on a(x) would leave
+        # the bracket for a depth that overflows to inf.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        with pytest.raises(ConvergenceError):
+            tune_to_scattering_length(template, -1e300, branch=3)
+
     @pytest.mark.parametrize("branch", [-1, 0.5, "1"])
     def test_bad_branch(self, branch):
         template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
@@ -208,30 +286,14 @@ class TestWeakBindingUniversality:
         # The agreement tightens as the state gets shallower.
         assert abs(product - 1.0) < 3.0 / ratio
 
-
-class TestCrossSection:
-    def test_zero_energy_limit(self):
-        assert low_energy_cross_section(2.0, 0.0) == 16.0 * math.pi
-
-    def test_halves_at_unit_ka(self):
-        assert low_energy_cross_section(2.0, 0.5) == 8.0 * math.pi
-
-    def test_sign_of_a_is_irrelevant(self):
-        assert low_energy_cross_section(-3.0, 0.7) == low_energy_cross_section(3.0, 0.7)
-
-    def test_never_exceeds_unitarity_bound(self):
-        k = 0.35
-        bound = 4.0 * math.pi / (k * k)
-        for a in (-5000.0, -2.0, 0.001, 1.0, 300.0, 1e8):
-            assert low_energy_cross_section(a, k) <= bound * (1.0 + 1e-12)
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            low_energy_cross_section(math.inf, 0.1)
-        with pytest.raises(DomainError):
-            low_energy_cross_section(1.0, -0.1)
-        with pytest.raises(DomainError):
-            low_energy_cross_section(1.0, math.nan)
+    def test_holds_far_from_the_range(self):
+        # Deep in the universal regime |eps| * 2 mu a^2 approaches 1 to
+        # O(Rw/a), so the solve must keep eps accurate at |a| ~ 1e6.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        tuned = tune_to_scattering_length(template, 9.5e5, branch=2)
+        a = scattering_length(tuned).a
+        product = abs(binding_energy(tuned)) * 2.0 * tuned.reduced_mass_mu * a * a
+        assert abs(product - 1.0) < 3.0 / 9.5e5
 
 
 def test_default_unitarity_tolerance_value():
