@@ -187,34 +187,45 @@ def _interior(i: int, n: int) -> bool:
     return 0 < i < n - 1
 
 
-def _half_crossings(
-    E: np.ndarray, y: np.ndarray, i_ref: int, level: float, rising: bool
-) -> float:
+def _interpolate(E: np.ndarray, y: np.ndarray, level: float, j: int, j2: int) -> float:
+    """Energy where the chord from sample j to sample j2 meets level."""
+    y0, y1 = y[j], y[j2]
+    if y1 == y0:
+        return float(E[j2])
+    t = (level - y0) / (y1 - y0)
+    return float(E[j] + t * (E[j2] - E[j]))
+
+
+def _width(E: np.ndarray, y: np.ndarray, i_ref: int, level: float, rising: bool) -> float:
     """Full width of the feature at y == level around sample i_ref.
 
-    Scans outward for the first sample past the level (above it when
-    rising, below when falling) and interpolates linearly; a side that
-    never crosses contributes its grid edge.
+    On each side the first sample past the level (at or above it when
+    rising, at or below when falling) is interpolated linearly against
+    its inner neighbour; a side that never crosses ends at its grid
+    edge.  A width that is not positive becomes a tenth of the span.
     """
+    past = y >= level if rising else y <= level
+    before = np.flatnonzero(past[:i_ref])
+    after = i_ref + 1 + np.flatnonzero(past[i_ref + 1 :])
+    left = _interpolate(E, y, level, before[-1] + 1, before[-1]) if before.size else E[0]
+    right = _interpolate(E, y, level, after[0] - 1, after[0]) if after.size else E[-1]
+    return _positive_or_tenth_of_span(float(right - left), E)
 
-    def scan(direction: int) -> float:
-        j = i_ref
-        while True:
-            j2 = j + direction
-            if j2 < 0 or j2 >= E.size:
-                return float(E[j])
-            crossed = y[j2] >= level if rising else y[j2] <= level
-            if crossed:
-                y0, y1 = y[j], y[j2]
-                if y1 == y0:
-                    return float(E[j2])
-                t = (level - y0) / (y1 - y0)
-                return float(E[j] + t * (E[j2] - E[j]))
-            j = j2
 
-    left = scan(-1)
-    right = scan(+1)
-    return right - left
+def _positive_or_tenth_of_span(width: float, E: np.ndarray) -> float:
+    return width if width > 0.0 else 0.1 * float(E[-1] - E[0])
+
+
+def _extrema(curve: CrossSectionCurve):
+    """Grid, samples, argmax, argmin and maximum of a nonzero curve."""
+    E = curve.energies
+    y = curve.sigmas
+    i_max = int(np.argmax(y))
+    i_min = int(np.argmin(y))
+    y_max = float(y[i_max])
+    if y_max <= 0.0:
+        raise DegenerateCurveError("curve is identically zero")
+    return E, y, i_max, i_min, y_max
 
 
 def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
@@ -227,18 +238,10 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
     INIT_Q_CAP); a lone interior dip as a window profile (q near 0).
     Monotone data raises DegenerateCurveError.
     """
-    E = curve.energies
-    y = curve.sigmas
-    n = E.size
-    i_max = int(np.argmax(y))
-    i_min = int(np.argmin(y))
-    y_max = float(y[i_max])
-    if y_max <= 0.0:
-        raise DegenerateCurveError("curve is identically zero")
-    has_peak = _interior(i_max, n)
-    has_dip = _interior(i_min, n)
+    E, y, i_max, i_min, y_max = _extrema(curve)
+    has_peak = _interior(i_max, E.size)
+    has_dip = _interior(i_min, E.size)
     baseline = 0.5 * (float(y[0]) + float(y[-1]))
-    span = float(E[-1] - E[0])
     if has_peak and has_dip:
         ratio = y_max / max(baseline, 1e-9 * y_max)
         q_mag = math.sqrt(max(ratio - 1.0, 1e-4))
@@ -246,17 +249,13 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
         sign = 1.0 if E[i_min] < E[i_max] else -1.0
         q = sign * q_mag
         d = float(E[i_max] - E[i_min])
-        gamma = 2.0 * q * d / (1.0 + q * q)
-        if not gamma > 0.0:
-            gamma = 0.1 * span
+        gamma = _positive_or_tenth_of_span(2.0 * q * d / (1.0 + q * q), E)
         e_r = float(E[i_min]) + 0.5 * q * gamma
         sigma0 = y_max / (1.0 + q * q)
     elif has_peak:
         q = INIT_Q_CAP
         level = 0.5 * (y_max + min(float(y[0]), float(y[-1])))
-        gamma = _half_crossings(E, y, i_max, level, rising=False)
-        if not gamma > 0.0:
-            gamma = 0.1 * span
+        gamma = _width(E, y, i_max, level, rising=False)
         e_r = float(E[i_max])
         sigma0 = y_max / (1.0 + q * q)
     elif has_dip:
@@ -264,9 +263,7 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
         y_min = float(y[i_min])
         sigma0 = max(baseline, 1e-3 * y_max)
         level = 0.5 * (sigma0 + y_min)
-        gamma = _half_crossings(E, y, i_min, level, rising=True)
-        if not gamma > 0.0:
-            gamma = 0.1 * span
+        gamma = _width(E, y, i_min, level, rising=True)
         e_r = float(E[i_min])
     else:
         raise DegenerateCurveError(
@@ -284,25 +281,15 @@ def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameter
     on the dip with the shoulder height as scale, leaving the optimizer
     to do the rest.  Monotone data raises DegenerateCurveError.
     """
-    E = curve.energies
-    y = curve.sigmas
-    n = E.size
-    i_max = int(np.argmax(y))
-    i_min = int(np.argmin(y))
-    y_max = float(y[i_max])
-    if y_max <= 0.0:
-        raise DegenerateCurveError("curve is identically zero")
-    span = float(E[-1] - E[0])
-    if _interior(i_max, n):
-        gamma = _half_crossings(E, y, i_max, 0.5 * y_max, rising=False)
-        if not gamma > 0.0:
-            gamma = 0.1 * span
+    E, y, i_max, i_min, y_max = _extrema(curve)
+    if _interior(i_max, E.size):
+        gamma = _width(E, y, i_max, 0.5 * y_max, rising=False)
         return BreitWignerParameters(E_r=float(E[i_max]), Gamma=gamma, sigma0=y_max)
-    if _interior(i_min, n):
+    if _interior(i_min, E.size):
         shoulder = max(float(y[0]), float(y[-1]))
         return BreitWignerParameters(
             E_r=float(E[i_min]),
-            Gamma=0.5 * span,
+            Gamma=0.5 * float(E[-1] - E[0]),
             sigma0=max(shoulder, 1e-3 * y_max),
         )
     raise DegenerateCurveError(

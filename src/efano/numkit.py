@@ -193,8 +193,8 @@ def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
     return x
 
 
-def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
-    """Return n independent N(0, sigma^2) deviates for the given seed.
+def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
+    """Return a float64 array of n independent N(0, sigma^2) deviates.
 
     The stream is SplitMix64 feeding the Marsaglia polar transform,
     both fixed published algorithms using only +, *, sqrt and log, so
@@ -220,7 +220,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
     if not (math.isfinite(sigma) and sigma >= 0.0):
         raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
     if n == 0:
-        return []
+        return np.empty(0)
     seed &= _U64
     uv_blocks: list[np.ndarray] = []
     s_blocks: list[np.ndarray] = []
@@ -245,4 +245,4 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> list[float]:
     log_s = np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
     m = np.sqrt(-2.0 * log_s / s)
     out = sigma * (uv * m[:, None])
-    return out.ravel()[:n].tolist()
+    return out.ravel()[:n]

@@ -195,7 +195,7 @@ def synthesize(
     }
     clamped = 0
     if noise_sigma_relative > 0.0:
-        g = np.array(seeded_gaussian_noise(seed, grid.size, 1.0))
+        g = seeded_gaussian_noise(seed, grid.size, 1.0)
         noisy = exact * (1.0 + noise_sigma_relative * g)
         clamped = int(np.count_nonzero(noisy < 0.0))
         sigmas = np.maximum(noisy, 0.0)

@@ -78,7 +78,20 @@ class ScatteringLengthResult:
 
 
 def _a_of_x(x: float, range_rw: float) -> float:
-    return range_rw * (1.0 - math.tan(x) / x)
+    if x >= 1.0:
+        return range_rw * (1.0 - math.tan(x) / x)
+    # 1 - tan(x)/x cancels as x -> 0.  It equals -S/cos x with
+    # S = (sin x - x cos x)/x = x^2/3 - x^4/30 + ..., summed from its
+    # series, whose k-th term is (-1)^(k+1) * 2k * x^(2k) / (2k+1)!.
+    x2 = x * x
+    term = x2 / 3.0
+    s = 0.0
+    k = 1
+    while s + term != s:
+        s += term
+        term *= -x2 * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
+        k += 1
+    return -range_rw * s / math.cos(x)
 
 
 def _bound_count(x0: float) -> int:
@@ -175,7 +188,8 @@ def tune_to_scattering_length(
 
     Raises UnreachableTargetError when target_a cannot occur on the
     requested branch (zero, non-finite, or 0 < target_a < Rw with
-    branch 0), DomainError when 2*mu*Rw^2 underflows to zero, and
+    branch 0), DomainError when 2*mu*Rw^2 underflows to zero or is so
+    small or large that the depth leaves the float range, and
     ConvergenceError if the depth solve fails to reproduce target_a to
     1e-9 relative, as happens once the target is too large for any
     float64 depth to represent.
@@ -229,6 +243,12 @@ def tune_to_scattering_length(
         x -= step
 
     depth = x * x / x0_sq_per_depth
+    if not (math.isfinite(depth) and depth > 0.0):
+        raise DomainError(
+            f"2*mu*Rw^2 = {x0_sq_per_depth!r} for mu = {template.reduced_mass_mu!r}, "
+            f"Rw = {rw!r} gives the depth x0^2/(2*mu*Rw^2) = {depth!r} at "
+            f"x0 = {x!r}, outside the positive floats; no depth can be tuned"
+        )
     tuned = replace(template, depth_V0=depth)
     achieved = _a_of_x(tuned.x0, rw)
     if abs(achieved - target_a) > 1e-9 * abs(target_a):

@@ -17,6 +17,9 @@ and the principal branch is automatic.
 The Gaussian noise reference is the scalar SplitMix64 + Marsaglia polar
 loop that defined the package's deviate stream before it was
 vectorised: one Python-int state stepped per draw, one pair at a time.
+
+The half-crossing reference is the sample-by-sample scan the fitter's
+initializers used to read a feature's width before it was vectorised.
 """
 
 from __future__ import annotations
@@ -96,3 +99,33 @@ def gaussian_noise_reference(seed: int, n: int, sigma: float) -> list[float]:
         out.append(sigma * (u * m))
         spare = v * m
     return out
+
+
+def half_crossings_reference(
+    E: np.ndarray, y: np.ndarray, i_ref: int, level: float, rising: bool
+) -> float:
+    """Full width of the feature at y == level around sample i_ref.
+
+    Scans outward for the first sample past the level (above it when
+    rising, below when falling) and interpolates linearly; a side that
+    never crosses contributes its grid edge.
+    """
+
+    def scan(direction: int) -> float:
+        j = i_ref
+        while True:
+            j2 = j + direction
+            if j2 < 0 or j2 >= E.size:
+                return float(E[j])
+            crossed = y[j2] >= level if rising else y[j2] <= level
+            if crossed:
+                y0, y1 = y[j], y[j2]
+                if y1 == y0:
+                    return float(E[j2])
+                t = (level - y0) / (y1 - y0)
+                return float(E[j] + t * (E[j2] - E[j]))
+            j = j2
+
+    left = scan(-1)
+    right = scan(+1)
+    return right - left

@@ -222,6 +222,20 @@ class TestScatteringLength:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, value",
+        [
+            (("--tune-to=-5e-160", "--range=1e-160", "--mass=1e-3"), "2e-323"),
+            (("--tune-to=-5e160", "--range=1e160", "--mass=1e3"), "inf"),
+        ],
+        ids=["depth-overflows", "depth-underflows"],
+    )
+    def test_depth_outside_float_range_exits_2(self, capsys, argv, value):
+        code, out, err = run(capsys, "scattering-length", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: 2*mu*Rw^2 = {value} for mu = ")
+
     def test_unreachable_target_exits_2(self, capsys):
         code, _, err = run(
             capsys, "scattering-length", "--tune-to", "0.5",

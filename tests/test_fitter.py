@@ -6,7 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from efano import fitter
 from efano.errors import DegenerateCurveError, DomainError
 from efano.fitter import (
     INIT_Q_CAP,
@@ -26,6 +29,8 @@ from efano.profiles import (
     evaluate,
     synthesize,
 )
+
+from oracles import half_crossings_reference
 
 GRID = np.linspace(0.5, 3.5, 200)
 FANO_TRUE = FanoParameters(E_r=1.63, Gamma=0.25, q=4.0, sigma0=1.0)
@@ -104,6 +109,83 @@ class TestInitialGuessBreitWigner:
         curve = CrossSectionCurve(np.linspace(0.0, 1.0, 32), np.linspace(0.1, 3.0, 32))
         with pytest.raises(DegenerateCurveError):
             initial_guess_breit_wigner(curve)
+
+
+def _width_reference(E, y, i_ref, level, rising) -> float:
+    # The sample-by-sample scan plus the initializers' tenth-of-span
+    # fallback for a width that is not positive.
+    width = half_crossings_reference(E, y, i_ref, level, rising)
+    return width if width > 0.0 else 0.1 * float(E[-1] - E[0])
+
+
+def _width_cases(y):
+    """(i_ref, level) pairs the initializers use, plus levels that sit
+    exactly on a sample or on a grid edge's value."""
+    i_max, i_min = int(np.argmax(y)), int(np.argmin(y))
+    y_max, y_min = float(y[i_max]), float(y[i_min])
+    levels = {0.5 * y_max, 0.5 * (y_max + min(y[0], y[-1])), 0.5 * (max(y[0], y[-1]) + y_min)}
+    levels |= {float(y[0]), float(y[-1]), float(y[y.size // 3]), y_max, y_min}
+    refs = {i_max, i_min, 0, y.size // 2, y.size - 1}
+    return [(i, lv) for i in sorted(refs) for lv in sorted(levels)]
+
+
+WIDTH_CURVES = {
+    "fano-noisy": lambda: synthesize(FANO_TRUE, GRID, 0.02, 5).sigmas,
+    "fano-negative-q": lambda: synthesize(
+        FanoParameters(E_r=2.0, Gamma=0.3, q=-3.0, sigma0=1.0), GRID, 0.05, 11
+    ).sigmas,
+    "lone-peak": lambda: synthesize(BW_TRUE, GRID, 0.01, 2).sigmas,
+    "lone-dip": lambda: synthesize(
+        FanoParameters(E_r=1.8, Gamma=0.4, q=0.0, sigma0=2.0), GRID, 0.01, 3
+    ).sigmas,
+    # Rounding to a few levels makes plateaus and tied extrema.
+    "fano-rounded": lambda: np.round(4.0 * evaluate(GRID, FANO_TRUE)) / 4.0,
+    "peak-rounded": lambda: np.round(3.0 * evaluate(GRID, BW_TRUE)) / 3.0,
+    "dip-rounded": lambda: np.round(
+        2.0 * evaluate(GRID, FanoParameters(E_r=2.0, Gamma=2.0, q=0.1, sigma0=2.0))
+    ) / 2.0,
+}
+
+
+class TestWidth:
+    @pytest.mark.parametrize("name", sorted(WIDTH_CURVES))
+    def test_matches_scan_bit_for_bit(self, name):
+        y = WIDTH_CURVES[name]()
+        for i_ref, level in _width_cases(y):
+            for rising in (False, True):
+                got = fitter._width(GRID, y, i_ref, level, rising)
+                want = _width_reference(GRID, y, i_ref, level, rising)
+                assert got.hex() == want.hex(), (i_ref, level, rising)
+
+    def test_crossing_at_grid_edge_and_on_a_sample(self):
+        E = np.arange(7.0)
+        y = np.array([1.0, 2.0, 3.0, 5.0, 3.0, 1.5, 1.0])
+        # Falling to 1.0 crosses only at the two edge samples; to 3.0 it
+        # lands exactly on samples 2 and 4.
+        assert fitter._width(E, y, 3, 1.0, False) == 6.0
+        assert fitter._width(E, y, 3, 3.0, False) == 2.0
+        for level in (1.0, 1.25, 3.0, 4.0):
+            want = _width_reference(E, y, 3, level, False)
+            assert fitter._width(E, y, 3, level, False).hex() == want.hex()
+
+    @given(
+        st.lists(st.integers(0, 4), min_size=2, max_size=12).flatmap(
+            lambda ys: st.tuples(
+                st.just(ys),
+                st.lists(st.integers(1, 3), min_size=len(ys), max_size=len(ys)),
+                st.integers(0, len(ys) - 1),
+                st.integers(0, 8),
+                st.booleans(),
+            )
+        )
+    )
+    def test_property_matches_scan(self, case):
+        ys, steps, i_ref, level8, rising = case
+        E = np.cumsum(np.array(steps, dtype=np.float64)) / 2.0
+        y = np.array(ys, dtype=np.float64)
+        level = level8 / 2.0
+        got = fitter._width(E, y, i_ref, level, rising)
+        assert got.hex() == _width_reference(E, y, i_ref, level, rising).hex()
 
 
 class TestFitNoiseless:

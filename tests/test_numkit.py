@@ -217,27 +217,40 @@ class TestSeededNoise:
         assert len(blocks) > 1
         assert _hex(got) == _hex(gaussian_noise_reference(seed, n, 1.0))
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
+    def test_returns_float64_array_of_length_n(self, n):
+        got = seeded_gaussian_noise(4, n, 1.0)
+        assert isinstance(got, np.ndarray)
+        assert got.dtype == np.float64
+        assert got.shape == (n,)
+
     def test_same_seed_same_stream(self):
-        assert seeded_gaussian_noise(42, 64, 1.0) == seeded_gaussian_noise(42, 64, 1.0)
+        assert np.array_equal(
+            seeded_gaussian_noise(42, 64, 1.0), seeded_gaussian_noise(42, 64, 1.0)
+        )
 
     def test_different_seeds_differ(self):
-        assert seeded_gaussian_noise(1, 32, 1.0) != seeded_gaussian_noise(2, 32, 1.0)
+        assert not np.array_equal(
+            seeded_gaussian_noise(1, 32, 1.0), seeded_gaussian_noise(2, 32, 1.0)
+        )
 
     def test_sigma_scales_stream_exactly(self):
         unit = seeded_gaussian_noise(9, 50, 1.0)
         scaled = seeded_gaussian_noise(9, 50, 2.5)
-        assert scaled == [2.5 * g for g in unit]
+        assert np.array_equal(scaled, 2.5 * unit)
 
     def test_seed_wraps_at_64_bits(self):
-        assert seeded_gaussian_noise(5, 16, 1.0) == seeded_gaussian_noise(5 + (1 << 64), 16, 1.0)
+        assert np.array_equal(
+            seeded_gaussian_noise(5, 16, 1.0), seeded_gaussian_noise(5 + (1 << 64), 16, 1.0)
+        )
 
     def test_moments_are_sane(self):
-        xs = np.array(seeded_gaussian_noise(2024, 20000, 1.0))
+        xs = seeded_gaussian_noise(2024, 20000, 1.0)
         assert abs(xs.mean()) < 0.05
         assert abs(xs.std() - 1.0) < 0.05
 
     def test_empty_and_errors(self):
-        assert seeded_gaussian_noise(0, 0, 1.0) == []
+        assert seeded_gaussian_noise(0, 0, 1.0).shape == (0,)
         with pytest.raises(DomainError):
             seeded_gaussian_noise(0, -1, 1.0)
         with pytest.raises(DomainError):

@@ -193,7 +193,7 @@ class TestSynthesize:
         grid = self.grid(256)
         exact = fano(grid, FANO_DYADIC)
         noisy = synthesize(FANO_DYADIC, grid, 0.01, seed=3)
-        g = np.array(seeded_gaussian_noise(3, grid.size, 1.0))
+        g = seeded_gaussian_noise(3, grid.size, 1.0)
         assert np.array_equal(noisy.sigmas, np.maximum(exact * (1.0 + 0.01 * g), 0.0))
 
     def test_clamping_counts_negatives(self):
@@ -202,7 +202,7 @@ class TestSynthesize:
         curve = synthesize(FANO_DYADIC, grid, 50.0, seed=1)
         assert curve.meta["clamped"] > 20
         assert np.all(curve.sigmas >= 0.0)
-        g = np.array(seeded_gaussian_noise(1, grid.size, 1.0))
+        g = seeded_gaussian_noise(1, grid.size, 1.0)
         raw = fano(grid, FANO_DYADIC) * (1.0 + 50.0 * g)
         assert curve.meta["clamped"] == int(np.count_nonzero(raw < 0.0))
 

@@ -99,6 +99,18 @@ class TestScatteringLength:
         assert res.a == pytest.approx(-x0 * x0 / 3.0, rel=1e-7)
         assert res.bound_state_count == 0
 
+    def test_shallow_wells_match_mpmath(self):
+        # 1 - tan(x0)/x0 cancels for x0 << 1; the series form keeps a to
+        # a few ulp all the way down.  x0 = 1e-8 used to give a = 0.0.
+        mpmath = pytest.importorskip("mpmath")
+        for x0 in (1e-150, 1e-100, 1e-16, 1e-8, 1e-6, 1e-4, 0.01, 0.3, 0.9, 1.0 - 2**-52):
+            well = well_with_x0(x0)
+            with mpmath.workdps(340):
+                big_x0 = mpmath.mpf(well.x0)
+                want = 1 - mpmath.tan(big_x0) / big_x0
+                err = float(abs((mpmath.mpf(scattering_length(well).a) - want) / want))
+            assert err < 2e-15, (x0, err)
+
 
 class TestBindingEnergy:
     def test_none_without_bound_state(self):
@@ -238,6 +250,23 @@ class TestTuneToScatteringLength:
         template = SquareWell(depth_V0=1.0, range_Rw=1e-200, reduced_mass_mu=1.0)
         with pytest.raises(DomainError):
             tune_to_scattering_length(template, 5.0)
+
+    @pytest.mark.parametrize(
+        "template, target, value, depth",
+        [
+            (SquareWell(1.0, 1e-160, 1e-3), -5e-160, "2e-323", "inf"),
+            (SquareWell(1.0, 1e160, 1e3), -5e160, "inf", "0.0"),
+        ],
+        ids=["depth-overflows", "depth-underflows"],
+    )
+    def test_depth_outside_float_range_raises(self, template, target, value, depth):
+        # 2*mu*Rw^2 is nonzero, but x0^2 over it is no positive float:
+        # the template is at fault, not a depth the caller gave.
+        with pytest.raises(DomainError) as info:
+            tune_to_scattering_length(template, target)
+        message = str(info.value)
+        assert message.startswith(f"2*mu*Rw^2 = {value} for mu = ")
+        assert f"x0^2/(2*mu*Rw^2) = {depth} at x0 = " in message
 
     @pytest.mark.parametrize("branch", [0, 1, 2, 3, 4, 5])
     def test_target_equal_to_range(self, branch):
