@@ -8,7 +8,10 @@ the Breit-Wigner model.  Fitting the positive quantities in log form
 keeps them positive without constraint handling, and the diagonal
 damping makes the iteration invariant under rescaling of the data, so
 fits commute with changes of cross-section units.  Residual derivatives
-are analytic.
+are analytic.  Each fit allocates one workspace up front, and the model
+kernels fill its Jacobian in place, the model values f being always the
+Jacobian's last column (d f / d log scale = f), so the iteration loop
+allocates no array as long as the data.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -82,44 +85,49 @@ class FitReport:
     lorentzian_limit: bool = False
 
 
-def _model_jac_fano(theta: np.ndarray, E: np.ndarray):
+def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
     # Internal Fano parameters are (E_r, log Gamma, q, log peak) with
     # peak = sigma0*(1+q^2), the height of the profile maximum.  In the
     # Lorentzian limit the peak stays finite while sigma0 ~ 1/q^2, so
     # parameterizing by the peak turns the large-q valley into a
     # straight line the Gauss-Newton step can follow to the q cap
     # instead of creeping along a curved trade-off with sigma0.
+    # Writes the Jacobian into J (n, 4), the model values f into its
+    # last column, using the (5, n) scratch block t.  The association
+    # order of every product and quotient is fixed: it sets the bits.
     E_r, lgam, q, lpeak = theta
     gamma = math.exp(lgam)
     peak = math.exp(lpeak)
     big = 1.0 + q * q
-    eps = (E - E_r) / (0.5 * gamma)
-    denom = 1.0 + eps * eps
-    u = q + eps
-    f = peak * u * u / (big * denom)
-    core = 2.0 * peak * u * (1.0 - q * eps)
-    dfde = core / (big * denom * denom)
-    J = np.empty((E.size, 4))
-    J[:, 0] = dfde * (-2.0 / gamma)
-    J[:, 1] = -eps * dfde
-    J[:, 2] = core / (big * big * denom)
-    J[:, 3] = f
-    return f, J
+    eps, denom, tmp, denom_big, core = t
+    np.divide(np.subtract(E, E_r, out=eps), 0.5 * gamma, out=eps)
+    np.add(np.multiply(eps, eps, out=denom), 1.0, out=denom)
+    u = np.add(eps, q, out=tmp)
+    np.multiply(denom, big, out=denom_big)
+    f = np.multiply(np.multiply(u, peak, out=J[:, 3]), u, out=J[:, 3])
+    np.divide(f, denom_big, out=f)
+    np.multiply(u, 2.0 * peak, out=core)
+    np.subtract(1.0, np.multiply(eps, q, out=tmp), out=tmp)
+    np.multiply(core, tmp, out=core)
+    np.divide(core, np.multiply(denom, big * big, out=tmp), out=J[:, 2])
+    dfde = np.divide(core, np.multiply(denom_big, denom, out=denom_big), out=core)
+    np.multiply(dfde, -2.0 / gamma, out=J[:, 0])
+    np.multiply(np.negative(eps, out=eps), dfde, out=J[:, 1])
 
 
-def _model_jac_bw(theta: np.ndarray, E: np.ndarray):
+def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
+    # Same contract as _model_jac_fano, with J of shape (n, 3).
     E_r, lgam, lsig = theta
     gamma = math.exp(lgam)
     sigma0 = math.exp(lsig)
-    eps = (E - E_r) / (0.5 * gamma)
-    denom = 1.0 + eps * eps
-    f = sigma0 / denom
-    dfde = -2.0 * eps * sigma0 / (denom * denom)
-    J = np.empty((E.size, 3))
-    J[:, 0] = dfde * (-2.0 / gamma)
-    J[:, 1] = -eps * dfde
-    J[:, 2] = f
-    return f, J
+    eps, denom, dfde, tmp = t[:4]
+    np.divide(np.subtract(E, E_r, out=eps), 0.5 * gamma, out=eps)
+    np.add(np.multiply(eps, eps, out=denom), 1.0, out=denom)
+    np.divide(sigma0, denom, out=J[:, 2])
+    np.multiply(np.multiply(eps, -2.0, out=dfde), sigma0, out=dfde)
+    np.divide(dfde, np.multiply(denom, denom, out=tmp), out=dfde)
+    np.multiply(dfde, -2.0 / gamma, out=J[:, 0])
+    np.multiply(np.negative(eps, out=eps), dfde, out=J[:, 1])
 
 
 def _minimize(
@@ -131,12 +139,17 @@ def _minimize(
 ):
     """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
 
-    Deterministic for fixed inputs.
+    Deterministic for fixed inputs.  The Jacobian and residual of the
+    current point and of the trial point live in one workspace
+    allocated up front; an accepted trial swaps the two.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
-    f, J = model_jac(theta, E)
-    r = f - y
+    J, J_c = np.empty((2, E.size, theta.size))
+    r, r_c = np.empty((2, E.size))
+    t = np.empty((5, E.size))
+    model_jac(theta, E, J, t)
+    np.subtract(J[:, -1], y, out=r)
     sse = float(r @ r)
     lam = 1e-3
     iterations = 0
@@ -162,12 +175,13 @@ def _minimize(
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    f_c, J_c = model_jac(cand, E)
-                    r_c = f_c - y
+                    model_jac(cand, E, J_c, t)
+                    np.subtract(J_c[:, -1], y, out=r_c)
                     sse_c = float(r_c @ r_c)
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
-                    theta, f, J, r, sse = cand, f_c, J_c, r_c, sse_c
+                    theta, sse = cand, sse_c
+                    J, J_c, r, r_c = J_c, J, r_c, r
                     lam = max(lam / 8.0, 1e-12)
                     accepted = True
                     break

@@ -231,7 +231,7 @@ def tune_to_scattering_length(
     # a(x) lies closest to the target.
     for _ in range(3):
         resid = _a_of_x(x, rw) - target_a
-        if abs(resid) <= 1e-12 * max(abs(target_a), rw):
+        if abs(resid) <= 1e-12 * abs(target_a):
             break
         cx = math.cos(x)
         slope = -rw * (x - math.sin(x) * cx) / (x * x * cx * cx)

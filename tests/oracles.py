@@ -20,6 +20,11 @@ vectorised: one Python-int state stepped per draw, one pair at a time.
 
 The half-crossing reference is the sample-by-sample scan the fitter's
 initializers used to read a feature's width before it was vectorised.
+
+The model/Jacobian references are the fitter's kernels as they were
+before they wrote into a per-fit workspace: each call allocates f and
+J afresh and returns (f, J).  They define the fit bits the in-place
+kernels must reproduce.
 """
 
 from __future__ import annotations
@@ -129,3 +134,37 @@ def half_crossings_reference(
     left = scan(-1)
     right = scan(+1)
     return right - left
+
+
+def model_jac_fano_reference(theta: np.ndarray, E: np.ndarray):
+    E_r, lgam, q, lpeak = theta
+    gamma = math.exp(lgam)
+    peak = math.exp(lpeak)
+    big = 1.0 + q * q
+    eps = (E - E_r) / (0.5 * gamma)
+    denom = 1.0 + eps * eps
+    u = q + eps
+    f = peak * u * u / (big * denom)
+    core = 2.0 * peak * u * (1.0 - q * eps)
+    dfde = core / (big * denom * denom)
+    J = np.empty((E.size, 4))
+    J[:, 0] = dfde * (-2.0 / gamma)
+    J[:, 1] = -eps * dfde
+    J[:, 2] = core / (big * big * denom)
+    J[:, 3] = f
+    return f, J
+
+
+def model_jac_bw_reference(theta: np.ndarray, E: np.ndarray):
+    E_r, lgam, lsig = theta
+    gamma = math.exp(lgam)
+    sigma0 = math.exp(lsig)
+    eps = (E - E_r) / (0.5 * gamma)
+    denom = 1.0 + eps * eps
+    f = sigma0 / denom
+    dfde = -2.0 * eps * sigma0 / (denom * denom)
+    J = np.empty((E.size, 3))
+    J[:, 0] = dfde * (-2.0 / gamma)
+    J[:, 1] = -eps * dfde
+    J[:, 2] = f
+    return f, J

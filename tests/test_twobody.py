@@ -288,6 +288,15 @@ class TestTuneToScatteringLength:
         assert "condition number of ~|a|*x0^2/Rw" in message
         assert "not representable with a float64 depth" in message
 
+    def test_shallow_targets_tune_within_tolerance(self):
+        # |a| < Rw: the polish must stop on a test relative to |a|, not
+        # to Rw, or the error left by the bracketed root stays.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        for k in range(200):
+            target = -(10.0 ** (-1.0 - 13.0 * k / 199))
+            tuned = tune_to_scattering_length(template, target)
+            assert scattering_length(tuned).a == pytest.approx(target, rel=1e-9)
+
     def test_newton_polish_stays_on_branch(self):
         # At the far end of branch 3 a Newton step on a(x) would leave
         # the bracket for a depth that overflows to inf.
