@@ -376,13 +376,13 @@ def _equivariance_worst() -> float:
 
 
 def _allocating(kernel):
-    """(f, J) from an in-place kernel, which fills J with f as its last
-    column."""
+    """(f, J) from an in-place kernel, which fills the (p, n) Jacobian
+    with f as its last row; J is returned as its (n, p) view."""
 
     def fn(theta, E):
-        J = np.empty((E.size, theta.size))
+        J = np.empty((theta.size, E.size))
         kernel(theta, E, J, np.empty((5, E.size)))
-        return J[:, -1], J
+        return J[-1], J.T
 
     return fn
 

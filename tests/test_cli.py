@@ -353,6 +353,18 @@ class TestEfimovLadder:
         _, out, _ = run(capsys, *argv, "--count", "3")
         assert "truncated_at" not in parse_header(out.splitlines()[0])
 
+    def test_negative_exponent_value_needs_equals_form(self, capsys):
+        # argparse reads a lone "-2.5e-06" token as an option, not a
+        # number; the documented spelling is --name=value.
+        argv = ("efimov-ladder", "--alpha-eff", "1.0", "--ground-energy", "-1.0")
+        code, out, _ = run(capsys, *argv, "--count", "3", "--threshold=-2.5e-06")
+        assert code == 0
+        assert parse_header(out.splitlines()[0])["threshold"] == "-2.5e-06"
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--count", "3", "--threshold", "-2.5e-06"])
+        assert exit_info.value.code == 2
+        assert "--threshold: expected one argument" in capsys.readouterr().err
+
     def test_level_cap(self, capsys, monkeypatch):
         argv = ("efimov-ladder", "--alpha-eff=1.0", "--ground-energy=-1.0")
         code, _, _ = run(capsys, *argv, f"--count={MAX_LEVELS}")

@@ -109,9 +109,10 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 
 
 def _in_place(kernel, theta, E):
-    J = np.empty((E.size, theta.size))
+    """The (n, p) view of the (p, n) Jacobian a kernel fills in place."""
+    J = np.empty((theta.size, E.size))
     kernel(theta, E, J, np.empty((5, E.size)))
-    return J
+    return J.T
 
 
 class TestInPlaceKernels:
