@@ -28,7 +28,13 @@ from .dipole_ladder import alpha_from_strength, build_ladder
 from .efimov import UNBOUNDED, build_efimov_ladder, classify_states_vs_threshold, count_states
 from .errors import DomainError, ToolkitError
 from .fitter import compare_models, fit, report_to_json_dict
-from .profiles import BreitWignerParameters, CrossSectionCurve, FanoParameters, synthesize
+from .profiles import (
+    MIN_CURVE_SAMPLES,
+    BreitWignerParameters,
+    CrossSectionCurve,
+    FanoParameters,
+    synthesize,
+)
 from .twobody import (
     DEFAULT_UNITARITY_TOL,
     SquareWell,
@@ -47,6 +53,11 @@ _MODELS = {"fano": FanoParameters, "bw": BreitWignerParameters}
 # ~ 1e6) stays in the normal float range for ~1e8 levels, so an
 # unchecked --count or --n-max could ask for tens of GB.
 MAX_LEVELS = 10_000
+
+# Largest profile-gen grid.  A curve costs ~190 bytes of peak memory
+# per point (its arrays and its CSV rows; 10^5 points with noise, in
+# process), so an unchecked --points could ask for any amount.
+MAX_POINTS = 10_000_000
 
 
 def _check_levels(levels: int) -> None:
@@ -211,8 +222,10 @@ def _curve_from_csv(text: str) -> CrossSectionCurve:
 def _cmd_profile_gen(args: argparse.Namespace) -> str:
     if args.emin >= args.emax:
         raise DomainError(f"--emin must be below --emax, got {args.emin!r} >= {args.emax!r}")
-    if args.points < 2:
-        raise DomainError(f"--points must be at least 2, got {args.points}")
+    if not MIN_CURVE_SAMPLES <= args.points <= MAX_POINTS:
+        raise DomainError(
+            f"--points must be from {MIN_CURVE_SAMPLES} to {MAX_POINTS}, got {args.points}"
+        )
     cls = _MODELS[args.model]
     names = [f.name for f in fields(cls)]
     if "q" in names and args.q is None:
@@ -359,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma0", type=float, required=True, help="cross-section scale > 0")
     p.add_argument("--emin", type=float, required=True)
     p.add_argument("--emax", type=float, required=True)
-    p.add_argument("--points", type=int, required=True, help="grid size, at least 8")
+    p.add_argument("--points", type=int, required=True,
+                   help=f"grid size, {MIN_CURVE_SAMPLES} to {MAX_POINTS}")
     p.add_argument("--noise", type=float, default=0.0,
                    help="relative noise level (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,

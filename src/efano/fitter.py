@@ -8,13 +8,24 @@ the Breit-Wigner model.  Fitting the positive quantities in log form
 keeps them positive without constraint handling, and the diagonal
 damping makes the iteration invariant under rescaling of the data, so
 fits commute with changes of cross-section units.  Residual derivatives
-are analytic.  Each fit allocates one workspace up front, and the model
-kernels fill its Jacobian in place as a (p, n) array, one contiguous row
-per parameter, the model values f being always its last row
-(d f / d log scale = f), so the iteration loop allocates no array as
-long as the data.  The fit stops on MINPACK's scale-free gradient test
+are analytic.  The fit stops on MINPACK's scale-free gradient test
 (More 1978): every cosine between the residual and a Jacobian row is at
 most GTOL.
+
+Each point is evaluated in one sweep over the data in blocks of at most
+_BLOCK samples, in a fixed order.  For each block the model kernel
+fills a (p, block) Jacobian in place, one contiguous row per parameter
+with the model values f as its last row (d f / d log scale = f); the
+residual follows, and the block's r.r, J r and Gram matrix J J^T are
+added to running totals while the block is still in cache.  The last
+block's J r and J J^T are added only once a trial point is accepted,
+since its J and r are still in the workspace then: a rejected trial
+skips that block's Gram work, all of it for data of one block, and a
+fit of at most one block makes exactly the BLAS calls of a whole-array
+fit.  The workspace is the same few rows of one block whatever the size
+of the data.  Every BLAS sum runs over one block at most, shorter than
+the dot products OpenBLAS splits across its threads, so the fit's bits
+do not depend on the BLAS thread count.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -64,6 +75,13 @@ INIT_Q_CAP = 1e3
 # exp() overflows past ~709.8; keeping the log-parameters inside this
 # band keeps every model evaluation finite.
 _LOG_BOUND = 700.0
+
+# Samples per block of the fit's sweep over the data.  OpenBLAS splits a
+# dot product of more than 10^4 elements across its threads and adds
+# the partial sums in an order that depends on their number, so a
+# block must stay below that size for the sse, and with it the fit, to
+# come out the same whatever the BLAS thread count.
+_BLOCK = 8192
 
 FittedParameters = Union[FanoParameters, BreitWignerParameters]
 
@@ -133,6 +151,42 @@ def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray
     np.multiply(np.negative(eps, out=eps), dfde, out=J[1])
 
 
+def _add_block(J: np.ndarray, r: np.ndarray, g: np.ndarray, A: np.ndarray, first: bool):
+    """Add one block's J @ r to g and its Gram matrix J J^T to A.
+
+    The first block writes them instead, so that a one-block sum is the
+    block's own BLAS result, bit for bit.  The Gram matrix is built row
+    by row, one gemv each: numpy sends J @ J.T to syrk, up to 2.4x
+    slower at 10^5 samples.
+    """
+    if first:
+        np.matmul(J, r, out=g)
+        for j in range(g.size):
+            np.matmul(J, J[j], out=A[j])
+    else:
+        g += J @ r
+        for j in range(g.size):
+            A[j] += J @ J[j]
+
+
+def _sweep(model_jac: Callable, theta: np.ndarray, blocks: list, g: np.ndarray, A: np.ndarray):
+    """sse at theta, summed over the blocks in their fixed order.
+
+    Each block's model values, Jacobian and residual are written into
+    the workspace views the block carries.  g and A receive the sums of
+    J @ r and J J^T over every block but the last; the last block's J
+    and r stay in the workspace for _add_block once the point is kept.
+    """
+    sse = 0.0
+    for k, (E, y, J, t, r) in enumerate(blocks):
+        model_jac(theta, E, J, t)
+        np.subtract(J[-1], y, out=r)
+        sse += float(r @ r)
+        if k < len(blocks) - 1:
+            _add_block(J, r, g, A, k == 0)
+    return sse
+
+
 def _minimize(
     model_jac: Callable,
     bound: np.ndarray,
@@ -142,56 +196,61 @@ def _minimize(
 ):
     """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
 
-    Deterministic for fixed inputs.  The Jacobian and residual of the
-    current point and of the trial point live in one workspace
-    allocated up front; an accepted trial swaps the two.
+    Deterministic for fixed inputs, whatever the BLAS thread count.  g
+    is J @ r, half the gradient of the sse, and A the Gram matrix J J^T;
+    those of the current point and of the trial point are swapped when
+    a trial is accepted.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
     p = theta.size
-    J, J_c = np.empty((2, p, E.size))
-    r, r_c = np.empty((2, E.size))
-    t = np.empty((5, E.size))
-    A = np.empty((p, p))
-    model_jac(theta, E, J, t)
-    np.subtract(J[-1], y, out=r)
-    sse = float(r @ r)
+    n = E.size
+    width = min(n, _BLOCK)
+    J = np.empty((p, width))
+    t = np.empty((5, width))
+    r = np.empty(width)
+    blocks = []
+    for s in range(0, n, width):
+        m = min(width, n - s)
+        blocks.append((E[s : s + m], y[s : s + m], J[:, :m], t[:, :m], r[:m]))
+    _, _, J_last, _, r_last = blocks[-1]
+    one_block = len(blocks) == 1
+    g, g_c = np.empty((2, p))
+    A, A_c = np.empty((2, p, p))
+    sse = _sweep(model_jac, theta, blocks, g, A)
+    _add_block(J_last, r_last, g, A, one_block)
     lam = 1e-3
     iterations = 0
     converged = False
     for it in range(1, MAX_ITERATIONS + 1):
         iterations = it
-        grad = 2.0 * (J @ r)
-        # The Gram matrix row by row, one gemv each: numpy sends J @ J.T
-        # to syrk, up to 2.4x slower at 10^5 samples.
-        for j in range(p):
-            np.matmul(J, J[j], out=A[j])
-        diag = np.diag(A).copy()
-        # |grad_j| / (2 |r| |J_j|) is the cosine between r and row j.
+        diag = A.diagonal().tolist()
+        # |g_j| / (|r| |J_j|) is the cosine between r and row j.
         # Unsquared, so that no scale of the data overflows the test.
-        if np.all(np.abs(grad) <= (2.0 * GTOL * math.sqrt(sse)) * np.sqrt(diag)):
+        # Python's sqrt is correctly rounded, as numpy's is.
+        scale = GTOL * math.sqrt(sse)
+        if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(g.tolist(), diag)):
             converged = True
             break
-        diag[diag <= 0.0] = 1.0
+        damping = np.diag([1.0 if d <= 0.0 else d for d in diag])
         accepted = False
         rel_drop = 0.0
         while lam <= 1e14:
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -0.5 * grad)
+                step = np.linalg.solve(A + lam * damping, -g)
             except np.linalg.LinAlgError:
                 step = None
-            if step is not None and bool(np.all(np.isfinite(step))):
+            if step is not None and all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    model_jac(cand, E, J_c, t)
-                    np.subtract(J_c[-1], y, out=r_c)
-                    sse_c = float(r_c @ r_c)
+                    sse_c = _sweep(model_jac, cand, blocks, g_c, A_c)
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
-                    J, J_c, r, r_c = J_c, J, r_c, r
+                    _add_block(J_last, r_last, g_c, A_c, one_block)
+                    g, g_c, A, A_c = g_c, g, A_c, A
                     lam = max(lam / 8.0, 1e-12)
                     accepted = True
                     break

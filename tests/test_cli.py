@@ -8,11 +8,12 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
 from efano import cli
-from efano.cli import MAX_LEVELS, main
+from efano.cli import MAX_LEVELS, MAX_POINTS, main
 
 KAPPA0_ALPHA_ONE = 0.3074971479608985
 
@@ -466,9 +467,10 @@ class TestProfileGen:
         [
             ("--points", "7"),
             ("--points", "1"),
+            ("--points", "-5"),
             ("--emin", "4.0"),
         ],
-        ids=["seven-points", "one-point", "inverted-window"],
+        ids=["seven-points", "one-point", "negative-points", "inverted-window"],
     )
     def test_bad_grid_exits_2(self, capsys, extra):
         argv = list(GEN_ARGS)
@@ -478,6 +480,20 @@ class TestProfileGen:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
+
+    def test_points_cap_exits_2_before_allocating(self, capsys):
+        argv = list(GEN_ARGS)
+        argv[argv.index("--points") + 1] = str(MAX_POINTS + 1)
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and str(MAX_POINTS) in err
+        # The grid alone would take 80 MB.
+        assert peak < 1 << 20
 
     def test_q_model_mismatch(self, capsys):
         code, _, err = run(
