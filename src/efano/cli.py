@@ -94,6 +94,18 @@ def _json(obj) -> str:
     return json.dumps(obj) + "\n"
 
 
+def _ladder(args, head: dict, csv_head: list, truncated_at, columns, rows) -> str:
+    """A ladder as JSON (head, truncated_at, then the entries) or as CSV
+    (head, then csv_head and truncated_at when set, in the header line)."""
+    if args.format == "json":
+        entries = [dict(zip(columns, row)) for row in rows]
+        return _json({**head, "truncated_at": truncated_at, "entries": entries})
+    pairs = [*head.items(), *csv_head]
+    if truncated_at is not None:
+        pairs.append(("truncated_at", truncated_at))
+    return _csv(pairs, rows, args.unit_label, columns)
+
+
 def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
     _check_levels(args.n_max + 1)
     if args.alpha is not None:
@@ -105,17 +117,8 @@ def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
     ratios = [None] + [cur.epsilon / prev.epsilon for prev, cur in zip(entries, entries[1:])]
     columns = ("n", "kappa", "epsilon", "ratio_to_previous")
     rows = [(e.n, e.kappa, e.epsilon, ratio) for e, ratio in zip(entries, ratios)]
-    if args.format == "json":
-        return _json({
-            "alpha": ladder.alpha,
-            "scale": ladder.scale,
-            "truncated_at": ladder.truncated_at,
-            "entries": [dict(zip(columns, row)) for row in rows],
-        })
-    pairs = [("alpha", ladder.alpha), ("scale", ladder.scale), ("n_max", args.n_max)]
-    if ladder.truncated_at is not None:
-        pairs.append(("truncated_at", ladder.truncated_at))
-    return _csv(pairs, rows, args.unit_label, columns)
+    head = {"alpha": ladder.alpha, "scale": ladder.scale}
+    return _ladder(args, head, [("n_max", args.n_max)], ladder.truncated_at, columns, rows)
 
 
 def _cmd_scattering_length(args: argparse.Namespace) -> str:
@@ -172,31 +175,18 @@ def _cmd_efimov_ladder(args: argparse.Namespace) -> str:
         count = args.count
     _check_levels(count)
     ladder = build_efimov_ladder(args.alpha_eff, args.ground_energy, count)
+    csv_head = [("count", count)]
     columns: tuple[str, ...] = ("n", "energy")
     rows = ladder.entries
     if args.threshold is not None:
+        # Energies rise along the ladder, so the bound levels come first.
         partition = classify_states_vs_threshold(ladder, args.threshold)
-        label = {n: "bound" for n, _ in partition.bound}
-        label.update({n: "embedded" for n, _ in partition.embedded})
+        csv_head.append(("threshold", args.threshold))
         columns += ("classification",)
-        rows = [(n, energy, label[n]) for n, energy in rows]
-    if args.format == "json":
-        return _json({
-            "alpha_eff": ladder.alpha_eff,
-            "ground_energy": ladder.ground_energy,
-            "truncated_at": ladder.truncated_at,
-            "entries": [dict(zip(columns, row)) for row in rows],
-        })
-    pairs = [
-        ("alpha_eff", ladder.alpha_eff),
-        ("ground_energy", ladder.ground_energy),
-        ("count", count),
-    ]
-    if args.threshold is not None:
-        pairs.append(("threshold", args.threshold))
-    if ladder.truncated_at is not None:
-        pairs.append(("truncated_at", ladder.truncated_at))
-    return _csv(pairs, rows, args.unit_label, columns)
+        rows = [(n, energy, "bound") for n, energy in partition.bound]
+        rows += [(n, energy, "embedded") for n, energy in partition.embedded]
+    head = {"alpha_eff": ladder.alpha_eff, "ground_energy": ladder.ground_energy}
+    return _ladder(args, head, csv_head, ladder.truncated_at, columns, rows)
 
 
 def _curve_from_csv(text: str) -> CrossSectionCurve:
@@ -233,7 +223,10 @@ def _cmd_profile_gen(args: argparse.Namespace) -> str:
     if "q" not in names and args.q is not None:
         raise DomainError(f"--q does not apply to the {args.model} model")
     params = cls(**{name: getattr(args, name) for name in names})
-    grid = np.linspace(args.emin, args.emax, args.points)
+    # linspace may overflow at the ends of the float range; synthesize
+    # rejects a grid left non-finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(args.emin, args.emax, args.points)
     curve = synthesize(params, grid, args.noise, args.seed)
     return _csv(curve.meta.items(), zip(curve.energies, curve.sigmas), args.unit_label)
 

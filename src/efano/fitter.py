@@ -90,11 +90,11 @@ FittedParameters = Union[FanoParameters, BreitWignerParameters]
 class FitReport:
     """Outcome of one least-squares fit.
 
-    converged means the stop was a convergence criterion (sse stall or
-    the GTOL gradient test), not the iteration cap; the best parameters
-    found are reported either way.  lorentzian_limit flags a Fano fit
-    that ended pinned at the |q| cap, where the shape is
-    indistinguishable from a Breit-Wigner peak.
+    converged means the stop was a convergence criterion (the GTOL
+    gradient test, an sse stall, or no improving step), not the
+    iteration cap; the best parameters found are reported either way.
+    lorentzian_limit flags a Fano fit that ended pinned at the |q| cap,
+    where the shape is indistinguishable from a Breit-Wigner peak.
     """
 
     model: str
@@ -196,10 +196,14 @@ def _minimize(
 ):
     """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
 
-    Deterministic for fixed inputs, whatever the BLAS thread count.  g
-    is J @ r, half the gradient of the sse, and A the Gram matrix J J^T;
-    those of the current point and of the trial point are swapped when
-    a trial is accepted.
+    Returns (theta, sse, iterations, converged) at one of four exits:
+    the GTOL gradient test passes, an accepted step drops the sse by
+    less than SSE_RTOL relative (a stall), no damping up to 1e14 gives
+    an improving step, or MAX_ITERATIONS pass (converged False only
+    here).  Deterministic for fixed inputs, whatever the BLAS thread
+    count.  g is J @ r, half the gradient of the sse, and A the Gram
+    matrix J J^T; those of the current point and of the trial point are
+    swapped when a trial is accepted.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
@@ -220,21 +224,15 @@ def _minimize(
     sse = _sweep(model_jac, theta, blocks, g, A)
     _add_block(J_last, r_last, g, A, one_block)
     lam = 1e-3
-    iterations = 0
-    converged = False
     for it in range(1, MAX_ITERATIONS + 1):
-        iterations = it
         diag = A.diagonal().tolist()
         # |g_j| / (|r| |J_j|) is the cosine between r and row j.
         # Unsquared, so that no scale of the data overflows the test.
         # Python's sqrt is correctly rounded, as numpy's is.
         scale = GTOL * math.sqrt(sse)
         if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(g.tolist(), diag)):
-            converged = True
-            break
+            return theta, sse, it, True
         damping = np.diag([1.0 if d <= 0.0 else d for d in diag])
-        accepted = False
-        rel_drop = 0.0
         while lam <= 1e14:
             try:
                 step = np.linalg.solve(A + lam * damping, -g)
@@ -252,22 +250,13 @@ def _minimize(
                     _add_block(J_last, r_last, g_c, A_c, one_block)
                     g, g_c, A, A_c = g_c, g, A_c, A
                     lam = max(lam / 8.0, 1e-12)
-                    accepted = True
                     break
             lam *= 8.0
-        if not accepted:
-            # No damping level yields an improving step: numerically at
-            # a minimum, equivalent to a zero sse drop.
-            converged = True
-            break
+        else:  # no damping level yields an improving step
+            return theta, sse, it, True
         if rel_drop < SSE_RTOL:
-            converged = True
-            break
-    return theta, sse, iterations, converged
-
-
-def _interior(i: int, n: int) -> bool:
-    return 0 < i < n - 1
+            return theta, sse, it, True
+    return theta, sse, MAX_ITERATIONS, False
 
 
 def _interpolate(E: np.ndarray, y: np.ndarray, level: float, j: int, j2: int) -> float:
@@ -300,7 +289,9 @@ def _positive_or_tenth_of_span(width: float, E: np.ndarray) -> float:
 
 
 def _extrema(curve: CrossSectionCurve):
-    """Grid, samples, argmax, argmin and maximum of a nonzero curve."""
+    """Grid, samples, argmax, argmin, maximum, and whether the maximum
+    and the minimum are interior; DegenerateCurveError unless the curve
+    is nonzero with an interior extremum, as a fit's seed needs."""
     E = curve.energies
     y = curve.sigmas
     i_max = int(np.argmax(y))
@@ -308,7 +299,13 @@ def _extrema(curve: CrossSectionCurve):
     y_max = float(y[i_max])
     if y_max <= 0.0:
         raise DegenerateCurveError("curve is identically zero")
-    return E, y, i_max, i_min, y_max
+    has_peak = 0 < i_max < E.size - 1
+    has_dip = 0 < i_min < E.size - 1
+    if not (has_peak or has_dip):
+        raise DegenerateCurveError(
+            "no interior extremum: monotone data cannot seed a resonance fit"
+        )
+    return E, y, i_max, i_min, y_max, has_peak, has_dip
 
 
 def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
@@ -321,14 +318,11 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
     INIT_Q_CAP); a lone interior dip as a window profile (q near 0).
     Monotone data raises DegenerateCurveError.
     """
-    E, y, i_max, i_min, y_max = _extrema(curve)
-    has_peak = _interior(i_max, E.size)
-    has_dip = _interior(i_min, E.size)
+    E, y, i_max, i_min, y_max, has_peak, has_dip = _extrema(curve)
     baseline = 0.5 * (float(y[0]) + float(y[-1]))
     if has_peak and has_dip:
         ratio = y_max / max(baseline, 1e-9 * y_max)
-        q_mag = math.sqrt(max(ratio - 1.0, 1e-4))
-        q_mag = min(max(q_mag, 0.01), INIT_Q_CAP)
+        q_mag = min(math.sqrt(max(ratio - 1.0, 1e-4)), INIT_Q_CAP)
         sign = 1.0 if E[i_min] < E[i_max] else -1.0
         q = sign * q_mag
         d = float(E[i_max] - E[i_min])
@@ -341,17 +335,13 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
         gamma = _width(E, y, i_max, level, rising=False)
         e_r = float(E[i_max])
         sigma0 = y_max / (1.0 + q * q)
-    elif has_dip:
+    else:
         q = 0.0
         y_min = float(y[i_min])
         sigma0 = max(baseline, 1e-3 * y_max)
         level = 0.5 * (sigma0 + y_min)
         gamma = _width(E, y, i_min, level, rising=True)
         e_r = float(E[i_min])
-    else:
-        raise DegenerateCurveError(
-            "no interior extremum: monotone data cannot seed a resonance fit"
-        )
     return FanoParameters(
         E_r=e_r, Gamma=gamma, q=q, sigma0=max(sigma0, 1e-12 * y_max)
     )
@@ -364,19 +354,15 @@ def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameter
     on the dip with the shoulder height as scale, leaving the optimizer
     to do the rest.  Monotone data raises DegenerateCurveError.
     """
-    E, y, i_max, i_min, y_max = _extrema(curve)
-    if _interior(i_max, E.size):
+    E, y, i_max, i_min, y_max, has_peak, _ = _extrema(curve)
+    if has_peak:
         gamma = _width(E, y, i_max, 0.5 * y_max, rising=False)
         return BreitWignerParameters(E_r=float(E[i_max]), Gamma=gamma, sigma0=y_max)
-    if _interior(i_min, E.size):
-        shoulder = max(float(y[0]), float(y[-1]))
-        return BreitWignerParameters(
-            E_r=float(E[i_min]),
-            Gamma=0.5 * float(E[-1] - E[0]),
-            sigma0=max(shoulder, 1e-3 * y_max),
-        )
-    raise DegenerateCurveError(
-        "no interior extremum: monotone data cannot seed a resonance fit"
+    shoulder = max(float(y[0]), float(y[-1]))
+    return BreitWignerParameters(
+        E_r=float(E[i_min]),
+        Gamma=0.5 * float(E[-1] - E[0]),
+        sigma0=max(shoulder, 1e-3 * y_max),
     )
 
 

@@ -186,7 +186,6 @@ def synthesize(
             f"noise level must be finite and nonnegative, got "
             f"{noise_sigma_relative!r}"
         )
-    exact = np.asarray(evaluate(grid, p), dtype=np.float64)
     meta = {
         "model": p.model,
         **asdict(p),
@@ -194,12 +193,14 @@ def synthesize(
         "seed": int(seed),
     }
     clamped = 0
-    if noise_sigma_relative > 0.0:
-        g = seeded_gaussian_noise(seed, grid.size, 1.0)
-        noisy = exact * (1.0 + noise_sigma_relative * g)
-        clamped = int(np.count_nonzero(noisy < 0.0))
-        sigmas = np.maximum(noisy, 0.0)
-    else:
-        sigmas = exact
+    # A product that overflows leaves a non-finite sample, which
+    # CrossSectionCurve rejects; numpy need not warn about it.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        sigmas = np.asarray(evaluate(grid, p), dtype=np.float64)
+        if noise_sigma_relative > 0.0:
+            g = seeded_gaussian_noise(seed, grid.size, 1.0)
+            noisy = sigmas * (1.0 + noise_sigma_relative * g)
+            clamped = int(np.count_nonzero(noisy < 0.0))
+            sigmas = np.maximum(noisy, 0.0)
     meta["clamped"] = clamped
     return CrossSectionCurve(grid, sigmas, meta)

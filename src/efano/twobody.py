@@ -250,7 +250,7 @@ def tune_to_scattering_length(
             f"x0 = {x!r}, outside the positive floats; no depth can be tuned"
         )
     tuned = replace(template, depth_V0=depth)
-    achieved = _a_of_x(tuned.x0, rw)
+    achieved = _a_of_x(_strength(tuned), rw)
     if abs(achieved - target_a) > 1e-9 * abs(target_a):
         raise ConvergenceError(
             f"depth solve reached a = {achieved!r} for target {target_a!r} "

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import pytest
 
@@ -214,14 +215,15 @@ class TestScatteringLength:
             ("--depth=1e300", "--range=1", "--mass=0.5"),
             ("--depth=1e-300", "--range=1", "--mass=1e-300"),
             ("--tune-to=5", "--range=1e-200", "--mass=1"),
+            ("--tune-to=-5", "--range=1e-300", "--mass=1e300"),
         ],
-        ids=["x0-past-2**52", "x0-underflows", "range-underflows"],
+        ids=["x0-past-2**52", "x0-underflows", "range-underflows", "tuned-x0-overflows"],
     )
     def test_unrepresentable_well_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "scattering-length", *argv)
         assert code == 2
         assert out == ""
-        assert err.startswith("error:")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "argv, value",
@@ -480,6 +482,38 @@ class TestProfileGen:
         code, _, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (("--er=0", "--gamma=1", "--sigma0=1", "--emin=-1e308", "--emax=1e308",
+              "--points=8"), 2),
+            (("--er=0", "--gamma=1", "--sigma0=1", "--emin=-inf", "--emax=1e308",
+              "--points=8"), 2),
+            (("--er=0", "--gamma=1", "--sigma0=1", "--emin=0",
+              "--emax=1.7976931348623157e+308", "--points=8"), 0),
+            (("--er=-1.3327984383514787e-147", "--gamma=1.6551293780612875e-124",
+              "--sigma0=4.264141038516352e+181", "--emin=-8.799125845618029e+305",
+              "--emax=6.946560330043752e-270", "--points=16",
+              "--noise=9.70579956874667e-301"), 0),
+            (("--er=0", "--gamma=1e308", "--sigma0=1e308", "--emin=-1", "--emax=1",
+              "--points=8", "--noise=1e308"), 2),
+        ],
+        ids=["span-overflows", "emin-infinite", "last-point-overflows",
+             "reduced-energy-overflows", "noise-overflows"],
+    )
+    def test_overflow_exits_cleanly(self, capsys, argv, want):
+        # linspace, the profile and the noise product each overflowed
+        # with a numpy RuntimeWarning on stderr.  At emax = float max
+        # the span is finite, but linspace's (n - 1) * step is not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "profile-gen", "--model=bw", *argv)
+        assert code == want
+        if want == 2:
+            assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        else:
+            assert err == "" and out.startswith("# model=breit_wigner")
 
     def test_points_cap_exits_2_before_allocating(self, capsys):
         argv = list(GEN_ARGS)

@@ -54,6 +54,11 @@ GOLDEN = TESTS / "golden" / "fit_reports.json"
 # (model, params, e_min, e_max, points, noise, seed).  Fano and
 # Breit-Wigner curves at 200, 2000 and 10^5 samples; the lone-peak Fano
 # curve runs to the iteration cap and the tiny-sigma0 one tests scale.
+# The fits take every exit of _minimize: 16 stop on the sse stall, the
+# Breit-Wigner fits of cases 2 and 8 and the Fano fits of cases 6 and 7
+# on the gtol test, the Fano fit of case 3 at the iteration cap, and the
+# Breit-Wigner fit of the last case, after 5 iterations, where no
+# damping level gives an improving step.
 CASES = [
     ("fano", (1.63, 0.25, 4.0, 1.0), 0.5, 3.5, 200, 0.01, 7),
     ("fano", (2.0, 0.4, -2.5, 5.0), 0.0, 4.0, 2000, 0.02, 2),
@@ -65,6 +70,15 @@ CASES = [
     ("breit_wigner", (2.0, 0.5, 3.0), 0.5, 3.5, 200, 0.01, 4),
     ("breit_wigner", (0.0, 0.05, 1e3), -0.5, 0.5, 2000, 0.03, 5),
     ("breit_wigner", (4.0, 3.0, 0.2), -8.0, 16.0, 100_000, 0.01, 6),
+    (
+        "fano",
+        (-0.42733563129955066, 1.113426123463388, 0.17376602692822551, 0.022885263673654496),
+        float.fromhex("-0x1.41cf3f4b2d525p+3"),
+        float.fromhex("0x1.f9c146c87320ap+1"),
+        128,
+        0.01,
+        1178252430,
+    ),
 ]
 
 _PARAMS = {"fano": FanoParameters, "breit_wigner": BreitWignerParameters}

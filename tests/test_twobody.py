@@ -268,6 +268,14 @@ class TestTuneToScatteringLength:
         assert message.startswith(f"2*mu*Rw^2 = {value} for mu = ")
         assert f"x0^2/(2*mu*Rw^2) = {depth} at x0 = " in message
 
+    def test_tuned_strength_overflow_raises(self):
+        # x ~ 1.57 gives a finite depth, but 2*mu*V0 ~ 2.4e600 overflows,
+        # so the tuned well's x0 reads inf and the final check must say
+        # so rather than take tan(inf).
+        template = SquareWell(depth_V0=1.0, range_Rw=1e-300, reduced_mass_mu=1e300)
+        with pytest.raises(DomainError, match="x0 = sqrt"):
+            tune_to_scattering_length(template, -5.0)
+
     @pytest.mark.parametrize("branch", [0, 1, 2, 3, 4, 5])
     def test_target_equal_to_range(self, branch):
         # a == Rw sits at the zero of tan on the far side of the pole.
