@@ -68,8 +68,6 @@ def _check_levels(levels: int) -> None:
 def _cell(x) -> str:
     if x is None:
         return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
     if isinstance(x, float):
         return repr(float(x))
     return str(x)

@@ -18,7 +18,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .errors import DomainError, SubcriticalStrengthError
+from .errors import DomainError, SubcriticalStrengthError, require_finite, require_positive
 from .numkit import log_gamma
 
 __all__ = [
@@ -42,8 +42,7 @@ def alpha_from_strength(strength_a: float) -> float:
     Raises SubcriticalStrengthError for a <= 1/4, where the attraction
     is too weak to produce the infinite ladder.
     """
-    if not math.isfinite(strength_a):
-        raise DomainError(f"coupling must be finite, got {strength_a!r}")
+    require_finite("coupling", strength_a)
     if strength_a <= CRITICAL_STRENGTH:
         raise SubcriticalStrengthError(
             f"coupling a = {strength_a!r} is at or below the critical value "
@@ -52,14 +51,9 @@ def alpha_from_strength(strength_a: float) -> float:
     return math.sqrt(strength_a - CRITICAL_STRENGTH)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0.0):
-        raise DomainError(f"alpha must be finite and positive, got {alpha!r}")
-
-
 def arg_gamma_term(alpha: float) -> float:
     """arg Gamma(1 - i*alpha) on the branch continuous in alpha from 0."""
-    _check_alpha(alpha)
+    require_positive("alpha", alpha)
     return log_gamma(complex(1.0, -alpha)).imag
 
 
@@ -73,11 +67,10 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
     The scale keyword sets the inverse-length prefactor; the default 2.0
     matches the hbar = m = 1 convention used throughout this module.
     """
-    _check_alpha(alpha)
+    require_positive("alpha", alpha)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"level index must be a nonnegative int, got {n!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    require_positive("scale", scale)
     return _kappa(alpha, arg_gamma_term(alpha), n, scale)
 
 
@@ -92,9 +85,8 @@ def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -
     Returns alpha*ln(scale/kappa) - arg Gamma(1 - i*alpha) - (n + 1/2)*pi,
     which vanishes exactly when kappa is the n-th ladder root.
     """
-    _check_alpha(alpha)
-    if not (math.isfinite(kappa) and kappa > 0.0):
-        raise DomainError(f"kappa must be finite and positive, got {kappa!r}")
+    require_positive("alpha", alpha)
+    require_positive("kappa", kappa)
     return alpha * math.log(scale / kappa) - arg_gamma_term(alpha) - (n + 0.5) * math.pi
 
 
@@ -163,11 +155,10 @@ def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder
     is reported as truncated_at.  An alpha so large
     that the energies overflow or stop shrinking raises DomainError.
     """
-    _check_alpha(alpha)
+    require_positive("alpha", alpha)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
-    if not (math.isfinite(scale) and scale > 0.0):
-        raise DomainError(f"scale must be finite and positive, got {scale!r}")
+    require_positive("scale", scale)
     arg_gamma = arg_gamma_term(alpha)
 
     def levels():
@@ -190,7 +181,7 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
     zero energy, so it can hold fewer than count levels; a ratio that
     rounds to 1 raises DomainError, as in build_ladder.
     """
-    _check_alpha(alpha)
+    require_positive("alpha", alpha)
     if not (math.isfinite(ground_energy) and ground_energy < 0.0):
         raise DomainError(
             f"ground energy must be finite and negative, got {ground_energy!r}"

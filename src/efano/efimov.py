@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 from .dipole_ladder import geometric_energies
-from .errors import DomainError
+from .errors import DomainError, require_positive
 
 __all__ = [
     "UNBOUNDED",
@@ -64,19 +64,14 @@ def count_states(a: float, r0: float) -> int | _UnboundedType:
     resonant limit where the tower never terminates.  |a| <= r0 gives
     0: no window, no states.
     """
-    if not (math.isfinite(r0) and r0 > 0.0):
-        raise DomainError(f"r0 must be finite and positive, got {r0!r}")
+    require_positive("r0", r0)
     if math.isnan(a):
         raise DomainError("scattering length must not be NaN")
     if math.isinf(a):
         return UNBOUNDED
     if abs(a) <= r0:
         return 0
-    ratio = abs(a) / r0
-    # The ratio overflows only when |a| and r0 sit at opposite ends of
-    # the float range; their logs stay finite there.
-    log_ratio = math.log(ratio) if ratio < math.inf else math.log(abs(a)) - math.log(r0)
-    return math.floor(log_ratio / math.pi + _BOUNDARY_SNAP)
+    return math.floor((math.log(abs(a)) - math.log(r0)) / math.pi + _BOUNDARY_SNAP)
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ catch package-level failures with one handler while still telling
 domain violations apart from iteration failures.
 """
 
+import math
+
 
 class ToolkitError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -40,3 +42,15 @@ class UnreachableTargetError(DomainError):
 
 class DegenerateCurveError(DomainError):
     """A cross-section curve lacks the structure needed to seed a fit."""
+
+
+def require_finite(name: str, value: float) -> None:
+    """Raise DomainError naming the argument unless value is finite."""
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
+
+
+def require_positive(name: str, value: float) -> None:
+    """Raise DomainError naming the argument unless value is finite and > 0."""
+    if not (math.isfinite(value) and value > 0.0):
+        raise DomainError(f"{name} must be finite and positive, got {value!r}")

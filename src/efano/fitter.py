@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .profiles import (
     BreitWignerParameters,
     CrossSectionCurve,
     FanoParameters,
+    ProfileParameters,
 )
 
 __all__ = [
@@ -83,9 +84,6 @@ _LOG_BOUND = 700.0
 # come out the same whatever the BLAS thread count.
 _BLOCK = 8192
 
-FittedParameters = Union[FanoParameters, BreitWignerParameters]
-
-
 @dataclass(frozen=True)
 class FitReport:
     """Outcome of one least-squares fit.
@@ -98,11 +96,11 @@ class FitReport:
     """
 
     model: str
-    params: FittedParameters
+    params: ProfileParameters
     sse: float
     iterations: int
     converged: bool
-    initial_guess: FittedParameters
+    initial_guess: ProfileParameters
     lorentzian_limit: bool = False
 
 
@@ -187,6 +185,7 @@ def _sweep(model_jac: Callable, theta: np.ndarray, blocks: list, g: np.ndarray, 
     return sse
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _minimize(
     model_jac: Callable,
     bound: np.ndarray,
@@ -203,7 +202,9 @@ def _minimize(
     here).  Deterministic for fixed inputs, whatever the BLAS thread
     count.  g is J @ r, half the gradient of the sse, and A the Gram
     matrix J J^T; those of the current point and of the trial point are
-    swapped when a trial is accepted.
+    swapped when a trial is accepted.  Overflow raises no numpy warning:
+    a trial whose sse is not finite is rejected, and a kept point whose
+    sse, g or Gram diagonal is not finite raises DomainError.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
@@ -226,11 +227,16 @@ def _minimize(
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
         diag = A.diagonal().tolist()
+        grad = g.tolist()
+        if not all(map(math.isfinite, [sse, *grad, *diag])):
+            raise DomainError(
+                f"fit overflowed at iteration {it}: its sse or a derivative is not finite"
+            )
         # |g_j| / (|r| |J_j|) is the cosine between r and row j.
         # Unsquared, so that no scale of the data overflows the test.
         # Python's sqrt is correctly rounded, as numpy's is.
         scale = GTOL * math.sqrt(sse)
-        if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(g.tolist(), diag)):
+        if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(grad, diag)):
             return theta, sse, it, True
         damping = np.diag([1.0 if d <= 0.0 else d for d in diag])
         while lam <= 1e14:
@@ -240,10 +246,7 @@ def _minimize(
                 step = None
             if step is not None and all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
-                # Overflowing trials give a non-finite sse and are
-                # rejected below; numpy need not warn about them.
-                with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    sse_c = _sweep(model_jac, cand, blocks, g_c, A_c)
+                sse_c = _sweep(model_jac, cand, blocks, g_c, A_c)
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
@@ -384,9 +387,9 @@ class _Model:
     """
 
     params: type
-    initial_guess: Callable[[CrossSectionCurve], FittedParameters]
-    to_theta: Callable[[FittedParameters], list]
-    from_theta: Callable[[np.ndarray], FittedParameters]
+    initial_guess: Callable[[CrossSectionCurve], ProfileParameters]
+    to_theta: Callable[[ProfileParameters], list]
+    from_theta: Callable[[np.ndarray], ProfileParameters]
     model_jac: Callable
     bound: np.ndarray
 
@@ -433,7 +436,7 @@ _MODELS = {
 def fit(
     curve: CrossSectionCurve,
     model: str,
-    guess: FittedParameters | None = None,
+    guess: ProfileParameters | None = None,
 ) -> FitReport:
     """Least-squares fit of one model to a curve.
 

@@ -22,7 +22,7 @@ from typing import ClassVar, Union
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite, require_positive
 from .numkit import seeded_gaussian_noise
 
 __all__ = [
@@ -39,16 +39,6 @@ __all__ = [
 MIN_CURVE_SAMPLES = 8
 
 
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-
-
-def _require_positive(name: str, value: float) -> None:
-    if not (math.isfinite(value) and value > 0.0):
-        raise DomainError(f"{name} must be finite and positive, got {value!r}")
-
-
 @dataclass(frozen=True)
 class BreitWignerParameters:
     """Symmetric resonance sigma0 / (1 + eps^2)."""
@@ -60,9 +50,9 @@ class BreitWignerParameters:
     sigma0: float
 
     def __post_init__(self) -> None:
-        _require_finite("E_r", self.E_r)
-        _require_positive("Gamma", self.Gamma)
-        _require_positive("sigma0", self.sigma0)
+        require_finite("E_r", self.E_r)
+        require_positive("Gamma", self.Gamma)
+        require_positive("sigma0", self.sigma0)
 
 
 @dataclass(frozen=True)
@@ -82,17 +72,18 @@ class FanoParameters:
     sigma0: float
 
     def __post_init__(self) -> None:
-        _require_finite("E_r", self.E_r)
-        _require_positive("Gamma", self.Gamma)
-        _require_finite("q", self.q)
-        _require_positive("sigma0", self.sigma0)
+        require_finite("E_r", self.E_r)
+        require_positive("Gamma", self.Gamma)
+        require_finite("q", self.q)
+        require_positive("sigma0", self.sigma0)
 
 
 class CrossSectionCurve:
     """Sampled cross section sigma(E) on a strictly increasing grid.
 
     meta carries free-form provenance (generating parameters, seed,
-    clamp count) that the CLI round-trips through CSV headers.
+    clamp count) that the CLI writes into CSV headers but never reads
+    back.
     """
 
     __slots__ = ("energies", "sigmas", "meta")
@@ -104,10 +95,12 @@ class CrossSectionCurve:
             raise DomainError("energies and sigmas must be 1-d and equal length")
         if e.size < 2:
             raise DomainError(f"curve needs at least 2 samples, got {e.size}")
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(s))):
+        if not np.all(np.isfinite(e)):
+            raise DomainError("grid must be finite")
+        if not np.all(np.isfinite(s)):
             raise DomainError("curve samples must be finite")
         if not np.all(np.diff(e) > 0.0):
-            raise DomainError("energy grid must be strictly increasing")
+            raise DomainError("grid must be strictly increasing")
         if np.any(s < 0.0):
             raise DomainError("cross sections must be nonnegative")
         self.energies = e
@@ -126,8 +119,7 @@ def reduced_energy(E, E_r: float, Gamma: float):
 
     E may be a scalar or an array; the result has the same shape.
     """
-    if not (math.isfinite(Gamma) and Gamma > 0.0):
-        raise DomainError(f"Gamma must be finite and positive, got {Gamma!r}")
+    require_positive("Gamma", Gamma)
     return (E - E_r) / (0.5 * Gamma)
 
 
@@ -138,10 +130,19 @@ def breit_wigner(E, p: BreitWignerParameters):
 
 
 def fano(E, p: FanoParameters):
-    """sigma0 * (q + eps)^2 / (1 + eps^2), the interference profile."""
+    """sigma0 * (q + eps)^2 / (1 + eps^2), the interference profile.
+
+    Past |eps| ~ 1.3e154 both squares overflow and the quotient reads
+    inf/inf; there the profile is sigma0 * (1 + q/eps)^2 to rounding.
+    """
     eps = reduced_energy(E, p.E_r, p.Gamma)
-    t = p.q + eps
-    return p.sigma0 * (t * t) / (1.0 + eps * eps)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        t = p.q + eps
+        sigma = p.sigma0 * (t * t) / (1.0 + eps * eps)
+        far = np.isnan(sigma)
+        if far.any():
+            sigma = np.where(far, p.sigma0 * (1.0 + np.divide(p.q, eps)) ** 2, sigma)[()]
+    return sigma
 
 
 _SHAPES = {FanoParameters: fano, BreitWignerParameters: breit_wigner}
@@ -177,10 +178,6 @@ def synthesize(
             f"grid too small: need at least {MIN_CURVE_SAMPLES} points, "
             f"got {grid.size}"
         )
-    if not np.all(np.isfinite(grid)):
-        raise DomainError("grid must be finite")
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("grid must be strictly increasing")
     if not (math.isfinite(noise_sigma_relative) and noise_sigma_relative >= 0.0):
         raise DomainError(
             f"noise level must be finite and nonnegative, got "
@@ -193,8 +190,8 @@ def synthesize(
         "seed": int(seed),
     }
     clamped = 0
-    # A product that overflows leaves a non-finite sample, which
-    # CrossSectionCurve rejects; numpy need not warn about it.
+    # A non-finite grid point or an overflowing product leaves a value
+    # that CrossSectionCurve rejects; numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         sigmas = np.asarray(evaluate(grid, p), dtype=np.float64)
         if noise_sigma_relative > 0.0:

@@ -21,6 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from .errors import ConvergenceError, DomainError, NoBracketError, UnreachableTargetError
+from .errors import require_positive
 from .numkit import find_root
 
 __all__ = [
@@ -49,9 +50,7 @@ class SquareWell:
 
     def __post_init__(self) -> None:
         for name in ("depth_V0", "range_Rw", "reduced_mass_mu"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be finite and positive, got {value!r}")
+            require_positive(name, getattr(self, name))
 
     @property
     def k0(self) -> float:

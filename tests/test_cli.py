@@ -515,6 +515,21 @@ class TestProfileGen:
         else:
             assert err == "" and out.startswith("# model=breit_wigner")
 
+    def test_far_wing_exits_0(self, capsys):
+        # 1e200 half-widths out both squares of the Fano form overflow,
+        # and the quotient read inf/inf = nan; the profile there is
+        # sigma0, as the sample at --emin shows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "profile-gen", "--model=fano", "--er=0", "--gamma=1", "--q=1",
+                "--sigma0=1", "--emin=-1e200", "--emax=1", "--points=8",
+            )
+        assert code == 0 and err == ""
+        _, rows = parse_curve_csv(out)
+        assert rows[0] == (-1e200, 1.0)
+        assert all(math.isfinite(sigma) for _, sigma in rows)
+
     def test_points_cap_exits_2_before_allocating(self, capsys):
         argv = list(GEN_ARGS)
         argv[argv.index("--points") + 1] = str(MAX_POINTS + 1)
@@ -550,6 +565,37 @@ class TestProfileFit:
         code, _, _ = run(capsys, *GEN_ARGS, *extra, "--out", str(path))
         assert code == 0
         return path
+
+    @pytest.mark.parametrize("model", ["both", "fano", "bw"])
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            ("--er=0", "--gamma=1", "--q=2", "--sigma0=1e160", "--emin=-3", "--emax=3",
+             "--points=50", "--noise=0.01", "--seed=3"),
+            ("--er=-3.508916091684989e+17", "--gamma=2.5012974506053863e+221",
+             "--sigma0=2.777552771514336e+168", "--emin=-70.7156878712475",
+             "--emax=-68.94449477025283", "--points=283", "--noise=0.01",
+             "--seed=46671387", "--q=0.035303239161279094"),
+            ("--er=-0.0024593769163060854", "--gamma=0.0035180233755935184",
+             "--sigma0=0.023533697704240953", "--emin=6.127148724079623e-168",
+             "--emax=1.0004230231643449e-166", "--points=208", "--noise=0.1",
+             "--seed=157033156", "--q=-1.0953413368811567e-07"),
+        ],
+        ids=["sigma0-1e160", "huge-values", "tiny-grid"],
+    )
+    def test_overflowing_fit_exits_2(self, capsys, tmp_path, spec, model):
+        # Each fit's sums of squares or derivative sums overflowed: it
+        # exited 0 with numpy warnings on stderr, and at 1e160 printed
+        # "sse": Infinity.  On the tiny grid the values are ordinary but
+        # the derivatives in 1/Gamma overflow.
+        path = tmp_path / "curve.csv"
+        code, _, _ = run(capsys, "profile-gen", "--model=fano", *spec, f"--out={path}")
+        assert code == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "profile-fit", f"--in={path}", f"--model={model}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: fit overflowed") and err.count("\n") == 1
 
     def test_fano_round_trip(self, capsys, tmp_path):
         path = self.gen_file(capsys, tmp_path)

@@ -5,7 +5,8 @@ nothing on stderr, or exits 2 with a single "error:" line and nothing on
 stdout.  It never shows a traceback or a numpy warning.  Each file-free
 subcommand gets one hypothesis test run in process through main, with
 every value passed as a --name=value token so that negative numbers
-parse; profile-fit, which reads a file, gets a few subprocess cases.
+parse.  profile-fit gets one that fits each generated curve, and a few
+subprocess cases.
 """
 
 import contextlib
@@ -14,9 +15,11 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
 import warnings
+from pathlib import Path
 
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from efano.cli import MAX_LEVELS, main
@@ -31,6 +34,7 @@ NEGATIVE = POSITIVE.map(lambda x: -x)
 LEVELS = st.integers(-1, MAX_LEVELS + 1)
 SEEDS = st.integers(-(2**70), 2**70)
 FORMATS = st.sampled_from(["csv", "json"])
+LABELS = st.none() | st.text(max_size=8)
 # Without the explain phase, which traces every line of each rerun: on
 # a failure here it took minutes and hundreds of MB.
 SETTINGS = settings(
@@ -48,6 +52,11 @@ def _check_cell(text: str) -> None:
     assert math.isfinite(value), text
 
 
+def _check_label(text: str) -> None:
+    """A unit label is one nonempty header token."""
+    assert text and not any(c.isspace() for c in text), repr(text)
+
+
 def _parses_back(out: str) -> None:
     if out.startswith(("{", "[", '"')) or out.strip().lstrip("-").isdigit():
         def reject(name):
@@ -61,6 +70,9 @@ def _parses_back(out: str) -> None:
         for token in lines[0][2:].split(" "):
             key, eq, value = token.partition("=")
             assert key.isidentifier() and eq, token
+            if key == "unit_label":
+                _check_label(value)
+                continue
             for part in value.split(","):
                 _check_cell(part)
         lines = lines[1:]
@@ -69,7 +81,9 @@ def _parses_back(out: str) -> None:
             _check_cell(cell)
 
 
-def check_contract(subcommand: str, options: dict, flags: tuple = ()) -> None:
+def check_contract(subcommand: str, options: dict, flags: tuple = ()) -> int:
+    """Run one invocation and check it; returns its exit code.  With an
+    "out" option the output file is checked in place of stdout."""
     argv = [subcommand, *flags]
     argv += [f"--{name}={value}" for name, value in options.items() if value is not None]
     out, err = io.StringIO(), io.StringIO()
@@ -83,49 +97,57 @@ def check_contract(subcommand: str, options: dict, flags: tuple = ()) -> None:
         assert err.startswith("error: ") and err.count("\n") == 1, err
     else:
         assert code == 0 and err == "", (code, err)
+        if options.get("out") is not None:
+            assert out == ""
+            out = Path(options["out"]).read_text(encoding="utf-8")
         _parses_back(out)
+    return code
 
 
 @SETTINGS
 @given(
     alpha=POSITIVE, strength=st.floats(0.25, 1e3) | st.floats(min_value=0.25),
     by_alpha=st.booleans(), n_max=LEVELS, scale=st.none() | POSITIVE, fmt=FORMATS,
+    label=LABELS,
 )
-def test_dipole_ladder(alpha, strength, by_alpha, n_max, scale, fmt):
+def test_dipole_ladder(alpha, strength, by_alpha, n_max, scale, fmt, label):
     ladder = {"alpha": alpha} if by_alpha else {"strength-a": strength}
-    check_contract("dipole-ladder", {**ladder, "n-max": n_max, "scale": scale, "format": fmt})
+    check_contract("dipole-ladder", {
+        **ladder, "n-max": n_max, "scale": scale, "format": fmt, "unit-label": label,
+    })
 
 
 @SETTINGS
 @given(
     depth=st.none() | POSITIVE, range_=POSITIVE, mass=POSITIVE,
     tune_to=st.none() | FLOATS, branch=st.integers(-1, 6),
-    tol=st.none() | POSITIVE, fmt=FORMATS,
+    tol=st.none() | POSITIVE, fmt=FORMATS, label=LABELS,
 )
-def test_scattering_length(depth, range_, mass, tune_to, branch, tol, fmt):
+def test_scattering_length(depth, range_, mass, tune_to, branch, tol, fmt, label):
     check_contract("scattering-length", {
         "depth": depth, "range": range_, "mass": mass, "tune-to": tune_to,
-        "branch": branch, "unitarity-tol": tol, "format": fmt,
+        "branch": branch, "unitarity-tol": tol, "format": fmt, "unit-label": label,
     })
 
 
 @SETTINGS
-@given(a=st.none() | FLOATS, r0=st.none() | POSITIVE, fmt=FORMATS)
-def test_efimov_count(a, r0, fmt):
+@given(a=st.none() | FLOATS, r0=st.none() | POSITIVE, fmt=FORMATS, label=LABELS)
+def test_efimov_count(a, r0, fmt, label):
     flags = ("--a-infinite",) if a is None else ()
-    check_contract("efimov-count", {"a": a, "r0": r0, "format": fmt}, flags)
+    check_contract("efimov-count", {"a": a, "r0": r0, "format": fmt, "unit-label": label}, flags)
 
 
 @SETTINGS
 @given(
     alpha_eff=POSITIVE, ground=NEGATIVE, count=LEVELS, a=st.floats() | st.floats(-1e9, 1e9),
     r0=POSITIVE, by_count=st.booleans(), threshold=st.none() | NEGATIVE, fmt=FORMATS,
+    label=LABELS,
 )
-def test_efimov_ladder(alpha_eff, ground, count, a, r0, by_count, threshold, fmt):
+def test_efimov_ladder(alpha_eff, ground, count, a, r0, by_count, threshold, fmt, label):
     size = {"count": count} if by_count else {"a": a, "r0": r0}
     check_contract("efimov-ladder", {
         "alpha-eff": alpha_eff, "ground-energy": ground, **size,
-        "threshold": threshold, "format": fmt,
+        "threshold": threshold, "format": fmt, "unit-label": label,
     })
 
 
@@ -143,6 +165,38 @@ def test_profile_gen(model, er, gamma, q, sigma0, emin, emax, points, noise, see
         "sigma0": sigma0, "emin": emin, "emax": emax, "points": points,
         "noise": noise, "seed": seed,
     })
+
+
+# Two curves whose fits overflowed: huge values, and ordinary values on
+# a grid near 1e-166, where the derivatives in 1/Gamma overflow.
+@example(er=-3.508916091684989e+17, gamma=2.5012974506053863e+221,
+         q=0.035303239161279094, sigma0=2.777552771514336e+168,
+         emin=-70.7156878712475, emax=-68.94449477025283, points=283,
+         noise=0.01, seed=46671387)
+@example(er=-0.0024593769163060854, gamma=0.0035180233755935184,
+         q=-1.0953413368811567e-07, sigma0=0.023533697704240953,
+         emin=6.127148724079623e-168, emax=1.0004230231643449e-166, points=208,
+         noise=0.1, seed=157033156)
+@SETTINGS
+@given(
+    er=FLOATS, gamma=POSITIVE, q=FLOATS, sigma0=POSITIVE, emin=FLOATS, emax=FLOATS,
+    points=st.integers(8, 300), noise=st.none() | st.floats(0.0, 0.3), seed=SEEDS,
+)
+def test_profile_fit(er, gamma, q, sigma0, emin, emax, points, noise, seed):
+    # Fano curves of any shape, fitted by each --model: a Breit-Wigner
+    # fit of a Fano curve is as much a user's call as the others.
+    if emin > emax:
+        emin, emax = emax, emin
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "curve.csv")
+        code = check_contract("profile-gen", {
+            "model": "fano", "er": er, "gamma": gamma, "q": q, "sigma0": sigma0,
+            "emin": emin, "emax": emax, "points": points, "noise": noise,
+            "seed": seed, "out": path,
+        })
+        if code == 0:
+            for model in ("both", "fano", "bw"):
+                check_contract("profile-fit", {"in": path, "model": model})
 
 
 def test_profile_fit_subprocess_exits(tmp_path):

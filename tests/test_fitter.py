@@ -377,7 +377,7 @@ class TestEquivariance:
             assert rel(getattr(pb, k), v) < 1e-9, (k, getattr(pb, k), v)
 
     @pytest.mark.parametrize(
-        "c", [1000.0, 0.125, 3.7, 1e-24, 1e-12, 1e-6, 1e6, 1e12, 1e100]
+        "c", [1000.0, 0.125, 3.7, 1e-24, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e150]
     )
     def test_vertical_scale(self, c):
         for model, base in self.noisy_curves().items():
@@ -403,6 +403,19 @@ class TestEquivariance:
         base = self.noisy_curve()
         scaled = CrossSectionCurve(base.energies, 1e100 * base.sigmas)
         assert fit(scaled, "fano").iterations == fit(base, "fano").iterations
+
+    @pytest.mark.parametrize("c", [1e153, 1e160])
+    @pytest.mark.parametrize("model", ["fano", "breit_wigner"])
+    def test_overflowing_scale_raises(self, c, model):
+        # On this curve the Gram sums overflow from c ~ 7.4e152 (Fano)
+        # and ~8.2e152 (Breit-Wigner).  At 1e153 the Fano fit ended 2.8x
+        # worse with converged=True; from 1e155 it reported sse = inf.
+        base = synthesize(FanoParameters(0, 1, 2, 1), np.linspace(-3, 3, 50), 0.01, 3)
+        scaled = CrossSectionCurve(base.energies, c * base.sigmas)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^fit overflowed at iteration 1: "):
+                fit(scaled, model)
 
     @pytest.mark.parametrize("shift", [-5.0, 12.5])
     def test_energy_shift(self, shift):

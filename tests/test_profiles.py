@@ -1,6 +1,7 @@
 """Tests for resonance profile shapes and curve synthesis."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,26 @@ class TestFano:
         lorentz = 1.0 / (1.0 + eps * eps)
         assert np.max(np.abs(rescaled - lorentz)) <= 3.0 / big_q
 
+    def test_far_wing_tends_to_sigma0(self):
+        # Past |eps| ~ 1.3e154 both squares overflow, and the direct
+        # form read inf/inf = nan; there the profile is
+        # sigma0 * (1 + q/eps)^2.  Gamma = 2 makes eps equal E.
+        p = FanoParameters(E_r=0.0, Gamma=2.0, q=3.0, sigma0=0.5)
+        E = np.array([-1e300, -1e200, -1e154, -3.0, 0.0, 1.0, 1e155, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fano(E, p)
+            scalar = fano(-1e200, p)
+            at_inf = fano(1e308, FanoParameters(E_r=-1e308, Gamma=2.0, q=3.0, sigma0=0.5))
+        near = np.abs(E) < 1.3e154
+        t = p.q + E[near]
+        assert got[near].tobytes() == (p.sigma0 * (t * t) / (1.0 + E[near] ** 2)).tobytes()
+        assert got[~near].tolist() == (p.sigma0 * (1.0 + p.q / E[~near]) ** 2).tolist()
+        assert np.all(np.abs(got[~near] - 0.5) <= 1e-15)
+        assert isinstance(scalar, float) and scalar == 0.5
+        # E - E_r overflows to eps = inf, where the limit is sigma0.
+        assert at_inf == 0.5
+
     def test_evaluate_dispatch(self):
         bw = BreitWignerParameters(E_r=1.0, Gamma=1.0, sigma0=1.0)
         assert evaluate(1.0, bw) == breit_wigner(1.0, bw)
@@ -150,6 +171,19 @@ class TestCrossSectionCurve:
     )
     def test_rejects_malformed_samples(self, energies, sigmas):
         with pytest.raises(DomainError):
+            CrossSectionCurve(energies, sigmas)
+
+    @pytest.mark.parametrize(
+        "energies,sigmas,message",
+        [
+            ([1.0, math.inf], [1.0, math.nan], "grid must be finite"),
+            ([1.0, 2.0], [1.0, math.inf], "curve samples must be finite"),
+            ([2.0, 1.0], [1.0, 1.0], "grid must be strictly increasing"),
+        ],
+    )
+    def test_messages(self, energies, sigmas, message):
+        # The README quotes the first two; synthesize relies on all three.
+        with pytest.raises(DomainError, match=f"^{message}$"):
             CrossSectionCurve(energies, sigmas)
 
 
