@@ -106,10 +106,7 @@ def _ladder(args, head: dict, csv_head: list, truncated_at, columns, rows) -> st
 
 def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
     _check_levels(args.n_max + 1)
-    if args.alpha is not None:
-        alpha = args.alpha
-    else:
-        alpha = alpha_from_strength(args.strength_a)
+    alpha = args.alpha if args.alpha is not None else alpha_from_strength(args.strength_a)
     ladder = build_ladder(alpha, args.n_max, scale=args.scale)
     entries = ladder.entries
     ratios = [None] + [cur.epsilon / prev.epsilon for prev, cur in zip(entries, entries[1:])]
@@ -120,14 +117,11 @@ def _cmd_dipole_ladder(args: argparse.Namespace) -> str:
 
 
 def _cmd_scattering_length(args: argparse.Namespace) -> str:
+    if args.tune_to is None and args.depth is None:
+        raise DomainError("--depth is required unless --tune-to is given")
+    well = SquareWell(args.depth if args.depth is not None else 1.0, args.range, args.mass)
     if args.tune_to is not None:
-        depth = args.depth if args.depth is not None else 1.0
-        well = SquareWell(depth, args.range, args.mass)
         well = tune_to_scattering_length(well, args.tune_to, args.branch)
-    else:
-        if args.depth is None:
-            raise DomainError("--depth is required unless --tune-to is given")
-        well = SquareWell(args.depth, args.range, args.mass)
     result = scattering_length(well, unitarity_tol=args.unitarity_tol)
     report: dict = {
         "a": "unitary" if result.unitary else result.a,
@@ -268,7 +262,8 @@ def _cmd_profile_fit(args: argparse.Namespace) -> str:
     return _json(report_to_json_dict(fit(curve, cls.model, guess)))
 
 
-def _add_common(p: argparse.ArgumentParser, formats: tuple[str, ...] = ("csv", "json")) -> None:
+def _add_common(p: argparse.ArgumentParser, handler, formats=("csv", "json")) -> None:
+    p.set_defaults(handler=handler)
     if formats:
         p.add_argument(
             "--format", choices=formats, default=formats[0],
@@ -307,8 +302,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         f"(at most {MAX_LEVELS - 1})")
     p.add_argument("--scale", type=float, default=2.0,
                    help="inverse-length prefactor of kappa (default: %(default)s)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_dipole_ladder)
+    _add_common(p, _cmd_dipole_ladder)
 
     p = sub.add_parser(
         "scattering-length",
@@ -324,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unitarity-tol", dest="unitarity_tol", type=float,
                    default=DEFAULT_UNITARITY_TOL,
                    help="|cos x0| below this reports a as unitary (default: %(default)s)")
-    _add_common(p, formats=("json", "csv"))
-    p.set_defaults(handler=_cmd_scattering_length)
+    _add_common(p, _cmd_scattering_length, ("json", "csv"))
 
     p = sub.add_parser("efimov-count", help="number of three-body states in the window")
     g = p.add_mutually_exclusive_group(required=True)
@@ -334,8 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="resonant limit |a| -> infinity")
     p.add_argument("--r0", type=float, default=1.0,
                    help="interaction range r0 > 0 (default: %(default)s)")
-    _add_common(p, formats=("json", "csv"))
-    p.set_defaults(handler=_cmd_efimov_count)
+    _add_common(p, _cmd_efimov_count, ("json", "csv"))
 
     p = sub.add_parser("efimov-ladder", help="geometric tower of three-body energies")
     p.add_argument("--alpha-eff", dest="alpha_eff", type=float, required=True,
@@ -349,8 +341,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r0", type=float, help="interaction range for the derived count")
     p.add_argument("--threshold", type=float,
                    help="two-body binding energy; classifies levels bound/embedded")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_efimov_ladder)
+    _add_common(p, _cmd_efimov_ladder)
 
     p = sub.add_parser("profile-gen", help="synthesize a resonance cross-section curve")
     p.add_argument("--model", choices=tuple(_MODELS), required=True)
@@ -369,16 +360,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="relative noise level (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0,
                    help="noise stream seed (default: %(default)s)")
-    _add_common(p, formats=())
-    p.set_defaults(handler=_cmd_profile_gen)
+    _add_common(p, _cmd_profile_gen, ())
 
     p = sub.add_parser("profile-fit", help="fit a curve file to resonance models")
     p.add_argument("--in", dest="input", required=True, metavar="PATH",
                    help="curve CSV produced by profile-gen (or same format)")
     p.add_argument("--model", choices=(*_MODELS, "both"), default="both")
     p.add_argument("--guess", help="JSON object with starting parameters")
-    _add_common(p, formats=())
-    p.set_defaults(handler=_cmd_profile_fit)
+    _add_common(p, _cmd_profile_fit, ())
 
     return parser
 

@@ -67,11 +67,11 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
     The scale keyword sets the inverse-length prefactor; the default 2.0
     matches the hbar = m = 1 convention used throughout this module.
     """
-    require_positive("alpha", alpha)
+    arg_gamma = arg_gamma_term(alpha)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"level index must be a nonnegative int, got {n!r}")
     require_positive("scale", scale)
-    return _kappa(alpha, arg_gamma_term(alpha), n, scale)
+    return _kappa(alpha, arg_gamma, n, scale)
 
 
 def _kappa(alpha: float, arg_gamma: float, n: int, scale: float) -> float:
@@ -85,9 +85,9 @@ def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -
     Returns alpha*ln(scale/kappa) - arg Gamma(1 - i*alpha) - (n + 1/2)*pi,
     which vanishes exactly when kappa is the n-th ladder root.
     """
-    require_positive("alpha", alpha)
+    arg_gamma = arg_gamma_term(alpha)
     require_positive("kappa", kappa)
-    return alpha * math.log(scale / kappa) - arg_gamma_term(alpha) - (n + 0.5) * math.pi
+    return alpha * math.log(scale / kappa) - arg_gamma - (n + 0.5) * math.pi
 
 
 @dataclass(frozen=True)
@@ -155,11 +155,10 @@ def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder
     is reported as truncated_at.  An alpha so large
     that the energies overflow or stop shrinking raises DomainError.
     """
-    require_positive("alpha", alpha)
+    arg_gamma = arg_gamma_term(alpha)
     if not isinstance(n_max, int) or n_max < 0:
         raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
     require_positive("scale", scale)
-    arg_gamma = arg_gamma_term(alpha)
 
     def levels():
         for n in range(n_max + 1):

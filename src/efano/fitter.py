@@ -369,15 +369,6 @@ def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameter
     )
 
 
-def _check_curve(curve: CrossSectionCurve) -> None:
-    if not isinstance(curve, CrossSectionCurve):
-        raise DomainError(f"expected a CrossSectionCurve, got {type(curve).__name__}")
-    if len(curve) < MIN_CURVE_SAMPLES:
-        raise DomainError(
-            f"fit needs at least {MIN_CURVE_SAMPLES} samples, got {len(curve)}"
-        )
-
-
 @dataclass(frozen=True)
 class _Model:
     """Everything fit needs to know about one line shape.
@@ -447,7 +438,10 @@ def fit(
     cap reports the best parameters found with converged=False rather
     than raising.
     """
-    _check_curve(curve)
+    if not isinstance(curve, CrossSectionCurve):
+        raise DomainError(f"expected a CrossSectionCurve, got {type(curve).__name__}")
+    if len(curve) < MIN_CURVE_SAMPLES:
+        raise DomainError(f"fit needs at least {MIN_CURVE_SAMPLES} samples, got {len(curve)}")
     m = _MODELS.get(model)
     if m is None:
         names = " or ".join(repr(name) for name in _MODELS)

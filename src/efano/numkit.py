@@ -37,6 +37,11 @@ _LANCZOS_COEFFS = (
 
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 
+# The shift into Re(w) >= 0.5 takes one step per unit of |Re(z)|, so its
+# time grows linearly, and past 2**53 a step no longer moves w.  This
+# bound keeps a call to ~2**16 steps, a few tens of ms.
+_MIN_REAL = -(2.0**16 + 1.0)
+
 
 def _lanczos_right(z: complex) -> complex:
     # Valid for Re(z) >= 0.5 only; callers shift into this half-plane.
@@ -59,15 +64,15 @@ def log_gamma(z: complex | float) -> complex:
     conjugation in IEEE arithmetic.
 
     Raises GammaPoleError at the poles z = 0, -1, -2, ... and
-    DomainError for non-finite input.
+    DomainError for non-finite input or for Re(z) < -(2**16 + 1).
     """
     z = complex(z)
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise DomainError(f"log_gamma requires finite input, got {z!r}")
+    if z.real < _MIN_REAL:
+        raise DomainError(f"log_gamma requires Re(z) >= -(2**16 + 1), got {z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise GammaPoleError(f"log_gamma pole at z = {z.real!r}")
-    if z.real >= 0.5:
-        return _lanczos_right(z)
     # Shift left-half-plane arguments right with log Gamma(z) =
     # log Gamma(z+1) - log z, which is analytic off the cut and
     # preserves the principal branch (no sin-reflection needed, so no

@@ -76,12 +76,10 @@ class ScatteringLengthResult:
     bound_state_count: int
 
 
-def _a_of_x(x: float, range_rw: float) -> float:
-    if x >= 1.0:
-        return range_rw * (1.0 - math.tan(x) / x)
-    # 1 - tan(x)/x cancels as x -> 0.  It equals -S/cos x with
-    # S = (sin x - x cos x)/x = x^2/3 - x^4/30 + ..., summed from its
-    # series, whose k-th term is (-1)^(k+1) * 2k * x^(2k) / (2k+1)!.
+def _s(x: float) -> float:
+    # S(x) = (sin x - x cos x)/x for x < 1, where that form cancels as
+    # x -> 0: summed from its series x^2/3 - x^4/30 + ..., whose k-th
+    # term is (-1)^(k+1) * 2k * x^(2k) / (2k+1)!.
     x2 = x * x
     term = x2 / 3.0
     s = 0.0
@@ -90,7 +88,14 @@ def _a_of_x(x: float, range_rw: float) -> float:
         s += term
         term *= -x2 * (k + 1) / (k * (2 * k + 2) * (2 * k + 3))
         k += 1
-    return -range_rw * s / math.cos(x)
+    return s
+
+
+def _a_of_x(x: float, range_rw: float) -> float:
+    if x >= 1.0:
+        return range_rw * (1.0 - math.tan(x) / x)
+    # 1 - tan(x)/x cancels as x -> 0.  It equals -S(x)/cos x.
+    return -range_rw * _s(x) / math.cos(x)
 
 
 def _bound_count(x0: float) -> int:
@@ -217,13 +222,25 @@ def tune_to_scattering_length(
         # end sits slightly past it so that a == Rw is bracketed too.
         lo, hi = pole, (branch + 1) * math.pi + 1e-6
     else:
-        # Rising side: a sweeps Rw (0 on branch 0) down to -inf.
-        lo, hi = (branch * math.pi if branch >= 1 else 1e-8), pole
+        # Rising side: a sweeps Rw (0 on branch 0) down to -inf.  Branch 0
+        # starts as a ~ -Rw*x^2/3, so its root lies below 2*sqrt(3|a|/Rw).
+        lo, hi = branch * math.pi, pole
+        if branch == 0:
+            hi = min(pole, 2.0 * math.sqrt(-3.0 * target_a / rw))
 
-    # a(x) = target  <=>  h(x) = sin x - (1 - target/Rw) * x * cos x = 0,
-    # which is a(x) - target times -x cos x / Rw: the same roots, no pole.
-    c = 1.0 - target_a / rw
-    x = _solve(lambda x: math.sin(x) - c * x * math.cos(x), lo, hi)
+    # a(x) = target  <=>  h(x) = sin x - (1 - t) * x * cos x = 0 with
+    # t = target/Rw, which is a(x) - target times -x cos x / Rw: the same
+    # roots, no pole.  h cancels as x -> 0, so below x = 1 the solve
+    # takes h(x)/x = S(x) + t * cos x instead.
+    t = target_a / rw
+    c = 1.0 - t
+
+    def h(x: float) -> float:
+        if x < 1.0:
+            return _s(x) + t * math.cos(x)
+        return math.sin(x) - c * x * math.cos(x)
+
+    x = _solve(h, lo, hi)
 
     # Newton polish on a(x) itself, whose derivative is -Rw*(x - sin x
     # cos x) / (x*cos x)^2: the root of h need not be the float x whose
@@ -250,7 +267,7 @@ def tune_to_scattering_length(
         )
     tuned = replace(template, depth_V0=depth)
     achieved = _a_of_x(_strength(tuned), rw)
-    if abs(achieved - target_a) > 1e-9 * abs(target_a):
+    if depth < sys.float_info.min or abs(achieved - target_a) > 1e-9 * abs(target_a):
         raise ConvergenceError(
             f"depth solve reached a = {achieved!r} for target {target_a!r} "
             f"on branch {branch}, outside 1e-9 relative: a(x0) has a relative "

@@ -5,8 +5,8 @@ nothing on stderr, or exits 2 with a single "error:" line and nothing on
 stdout.  It never shows a traceback or a numpy warning.  Each file-free
 subcommand gets one hypothesis test run in process through main, with
 every value passed as a --name=value token so that negative numbers
-parse.  profile-fit gets one that fits each generated curve, and a few
-subprocess cases.
+parse.  profile-fit gets one that fits each generated curve, with and
+without a --guess, and a few subprocess cases.
 """
 
 import contextlib
@@ -169,34 +169,46 @@ def test_profile_gen(model, er, gamma, q, sigma0, emin, emax, points, noise, see
 
 # Two curves whose fits overflowed: huge values, and ordinary values on
 # a grid near 1e-166, where the derivatives in 1/Gamma overflow.
-@example(er=-3.508916091684989e+17, gamma=2.5012974506053863e+221,
+@example(model="fano", guess=None, er=-3.508916091684989e+17, gamma=2.5012974506053863e+221,
          q=0.035303239161279094, sigma0=2.777552771514336e+168,
          emin=-70.7156878712475, emax=-68.94449477025283, points=283,
          noise=0.01, seed=46671387)
-@example(er=-0.0024593769163060854, gamma=0.0035180233755935184,
+@example(model="fano", guess=None, er=-0.0024593769163060854, gamma=0.0035180233755935184,
          q=-1.0953413368811567e-07, sigma0=0.023533697704240953,
          emin=6.127148724079623e-168, emax=1.0004230231643449e-166, points=208,
          noise=0.1, seed=157033156)
 @SETTINGS
 @given(
-    er=FLOATS, gamma=POSITIVE, q=FLOATS, sigma0=POSITIVE, emin=FLOATS, emax=FLOATS,
-    points=st.integers(8, 300), noise=st.none() | st.floats(0.0, 0.3), seed=SEEDS,
+    model=st.sampled_from(["fano", "bw"]), er=FLOATS, gamma=POSITIVE, q=FLOATS,
+    sigma0=POSITIVE, emin=FLOATS, emax=FLOATS, points=st.integers(8, 300),
+    noise=st.none() | st.floats(0.0, 0.3), seed=SEEDS,
+    guess=st.none() | st.fixed_dictionaries(
+        {"E_r": FLOATS, "Gamma": POSITIVE, "q": FLOATS, "sigma0": POSITIVE}
+    ),
 )
-def test_profile_fit(er, gamma, q, sigma0, emin, emax, points, noise, seed):
-    # Fano curves of any shape, fitted by each --model: a Breit-Wigner
-    # fit of a Fano curve is as much a user's call as the others.
+def test_profile_fit(model, er, gamma, q, sigma0, emin, emax, points, noise, seed, guess):
+    # Curves of either model and any shape, fitted by each --model: a
+    # Breit-Wigner fit of a Fano curve is as much a user's call as the
+    # others.  A single-model fit may start from a --guess of extreme
+    # floats, Infinity and NaN included, which json.dumps writes out.
     if emin > emax:
         emin, emax = emax, emin
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "curve.csv")
         code = check_contract("profile-gen", {
-            "model": "fano", "er": er, "gamma": gamma, "q": q, "sigma0": sigma0,
-            "emin": emin, "emax": emax, "points": points, "noise": noise,
-            "seed": seed, "out": path,
+            "model": model, "er": er, "gamma": gamma, "q": q if model == "fano" else None,
+            "sigma0": sigma0, "emin": emin, "emax": emax, "points": points,
+            "noise": noise, "seed": seed, "out": path,
         })
         if code == 0:
-            for model in ("both", "fano", "bw"):
-                check_contract("profile-fit", {"in": path, "model": model})
+            check_contract("profile-fit", {"in": path, "model": "both"})
+            for fit_model in ("fano", "bw"):
+                start = None
+                if guess is not None:
+                    start = json.dumps(
+                        {k: v for k, v in guess.items() if fit_model == "fano" or k != "q"}
+                    )
+                check_contract("profile-fit", {"in": path, "model": fit_model, "guess": start})
 
 
 def test_profile_fit_subprocess_exits(tmp_path):

@@ -1,5 +1,7 @@
 import cmath
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -124,6 +126,31 @@ class TestLogGamma:
     def test_non_finite_inputs_raise(self, z):
         with pytest.raises(DomainError):
             log_gamma(z)
+
+    def test_far_left_half_plane_raises(self):
+        # The shift takes one step per unit of |Re(z)|: at -1e6 it took
+        # ~0.5 s, and from -2**53 on a step no longer moves z.
+        with pytest.raises(DomainError, match=r"Re\(z\) >= -\(2\*\*16 \+ 1\)"):
+            log_gamma(complex(-1e6, 0.5))
+
+    def test_huge_negative_real_part_raises_promptly(self):
+        # Before the bound this call never returned; run it apart so a
+        # hang fails the test instead of stalling the suite.
+        code = "from efano.numkit import log_gamma; log_gamma(complex(-1e17, 0.5))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.rstrip().splitlines()[-1].startswith(
+            "efano.errors.DomainError: log_gamma requires Re(z) >= "
+        )
+
+    def test_matches_mpmath_near_the_bound(self):
+        mpmath = pytest.importorskip("mpmath")
+        z = complex(-65536.25, 0.5)
+        with mpmath.workdps(40):
+            want = complex(mpmath.loggamma(mpmath.mpc(z.real, z.imag)))
+        assert abs(log_gamma(z) - want) <= 1e-14 * abs(want)
 
 
 class TestFindRoot:

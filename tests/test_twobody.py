@@ -305,6 +305,17 @@ class TestTuneToScatteringLength:
             tuned = tune_to_scattering_length(template, target)
             assert scattering_length(tuned).a == pytest.approx(target, rel=1e-9)
 
+    def test_shallow_branch_zero_log_grid(self):
+        # Down to |a| = 1e-21 * Rw.  h(x) = sin x - c*x*cos x cancels as
+        # x -> 0, and a fixed lower bracket end of 1e-8 lay above every
+        # root with |a| below ~3e-17 * Rw: from a = -4.1e-15 on, 131 of
+        # these 400 targets raised ConvergenceError.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        for k in range(400):
+            target = -(10.0 ** (-1.0 - 20.0 * k / 399))
+            tuned = tune_to_scattering_length(template, target, 0)
+            assert scattering_length(tuned).a == pytest.approx(target, rel=1e-9), target
+
     def test_newton_polish_stays_on_branch(self):
         # At the far end of branch 3 a Newton step on a(x) would leave
         # the bracket for a depth that overflows to inf.
