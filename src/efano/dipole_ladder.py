@@ -67,11 +67,16 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
     The scale keyword sets the inverse-length prefactor; the default 2.0
     matches the hbar = m = 1 convention used throughout this module.
     """
+    return _kappa(alpha, _checked_arg_gamma(alpha, n, scale), n, scale)
+
+
+def _checked_arg_gamma(alpha: float, n: int, scale: float) -> float:
+    """arg Gamma(1 - i*alpha), once alpha, the level index n and scale are checked."""
     arg_gamma = arg_gamma_term(alpha)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"level index must be a nonnegative int, got {n!r}")
     require_positive("scale", scale)
-    return _kappa(alpha, arg_gamma, n, scale)
+    return arg_gamma
 
 
 def _kappa(alpha: float, arg_gamma: float, n: int, scale: float) -> float:
@@ -85,9 +90,12 @@ def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -
     Returns alpha*ln(scale/kappa) - arg Gamma(1 - i*alpha) - (n + 1/2)*pi,
     which vanishes exactly when kappa is the n-th ladder root.
     """
-    arg_gamma = arg_gamma_term(alpha)
+    arg_gamma = _checked_arg_gamma(alpha, n, scale)
     require_positive("kappa", kappa)
-    return alpha * math.log(scale / kappa) - arg_gamma - (n + 0.5) * math.pi
+    ratio = scale / kappa
+    # A ratio that underflows to 0 or overflows takes its log by parts.
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(scale) - math.log(kappa)
+    return alpha * log_ratio - arg_gamma - (n + 0.5) * math.pi
 
 
 @dataclass(frozen=True)

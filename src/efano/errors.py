@@ -7,6 +7,17 @@ domain violations apart from iteration failures.
 
 import math
 
+__all__ = [
+    "ToolkitError",
+    "DomainError",
+    "GammaPoleError",
+    "SubcriticalStrengthError",
+    "NoBracketError",
+    "ConvergenceError",
+    "UnreachableTargetError",
+    "DegenerateCurveError",
+]
+
 
 class ToolkitError(Exception):
     """Base class for every error this package raises deliberately."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from typing import Callable
 
 import numpy as np
@@ -176,6 +177,11 @@ _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
+# u and v are odd multiples of 2**-53, so s >= 2**-105 and no unit
+# deviate exceeds |u|*m <= sqrt(-2 log s) ~ 12.07: a sigma up to the
+# float maximum / 16 keeps every deviate finite.
+_SIGMA_MAX = sys.float_info.max / 16.0
+
 
 def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
     """SplitMix64 outputs start+1 .. start+count, mapped to (0, 1).
@@ -205,7 +211,8 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     both fixed published algorithms using only +, *, sqrt and log, so
     the same seed yields bit-identical output on every platform and
     library version.  Equal seeds give equal streams; sigma scales the
-    unit stream exactly.
+    unit stream exactly.  sigma may be at most the float maximum / 16,
+    which keeps every deviate finite.
 
     SplitMix64 is counter-based: its k-th output (k = 1, 2, ...) mixes
     the state seed + k*0x9E3779B97F4A7C15 mod 2^64, with the seed taken
@@ -222,8 +229,8 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         raise DomainError(f"seed must be an int, got {type(seed).__name__}")
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"sample count must be a nonnegative int, got {n!r}")
-    if not (math.isfinite(sigma) and sigma >= 0.0):
-        raise DomainError(f"sigma must be finite and nonnegative, got {sigma!r}")
+    if not 0.0 <= sigma <= _SIGMA_MAX:
+        raise DomainError(f"sigma must lie in [0, {_SIGMA_MAX!r}], got {sigma!r}")
     if n == 0:
         return np.empty(0)
     seed &= _U64

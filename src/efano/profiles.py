@@ -51,7 +51,7 @@ class BreitWignerParameters:
 
     def __post_init__(self) -> None:
         require_finite("E_r", self.E_r)
-        require_positive("Gamma", self.Gamma)
+        _half_width(self.Gamma)
         require_positive("sigma0", self.sigma0)
 
 
@@ -73,7 +73,7 @@ class FanoParameters:
 
     def __post_init__(self) -> None:
         require_finite("E_r", self.E_r)
-        require_positive("Gamma", self.Gamma)
+        _half_width(self.Gamma)
         require_finite("q", self.q)
         require_positive("sigma0", self.sigma0)
 
@@ -114,19 +114,32 @@ class CrossSectionCurve:
 ProfileParameters = Union[FanoParameters, BreitWignerParameters]
 
 
+def _half_width(Gamma: float) -> float:
+    """Gamma/2, which must be a positive float: Gamma = 5e-324 halves to 0."""
+    require_positive("Gamma", Gamma)
+    half = 0.5 * Gamma
+    if half == 0.0:
+        raise DomainError(f"Gamma = {Gamma!r} is too small: Gamma/2 underflows to zero")
+    return half
+
+
 def reduced_energy(E, E_r: float, Gamma: float):
     """(E - E_r) / (Gamma/2): energy offset in units of the half-width.
 
-    E may be a scalar or an array; the result has the same shape.
+    E may be a scalar or an array; the result has the same shape.  An
+    offset past the float range reads +-inf.
     """
-    require_positive("Gamma", Gamma)
-    return (E - E_r) / (0.5 * Gamma)
+    require_finite("E_r", E_r)
+    half = _half_width(Gamma)
+    with np.errstate(over="ignore"):
+        return (E - E_r) / half
 
 
 def breit_wigner(E, p: BreitWignerParameters):
     """sigma0 / (1 + eps^2), the symmetric Lorentzian resonance."""
     eps = reduced_energy(E, p.E_r, p.Gamma)
-    return p.sigma0 / (1.0 + eps * eps)
+    with np.errstate(over="ignore"):
+        return p.sigma0 / (1.0 + eps * eps)
 
 
 def fano(E, p: FanoParameters):

@@ -192,11 +192,12 @@ def tune_to_scattering_length(
 
     Raises UnreachableTargetError when target_a cannot occur on the
     requested branch (zero, non-finite, or 0 < target_a < Rw with
-    branch 0), DomainError when 2*mu*Rw^2 underflows to zero or is so
-    small or large that the depth leaves the float range, and
-    ConvergenceError if the depth solve fails to reproduce target_a to
-    1e-9 relative, as happens once the target is too large for any
-    float64 depth to represent.
+    branch 0), DomainError when target_a/Rw or 2*mu*Rw^2 underflows to
+    zero or overflows, or is so small or large that the depth leaves
+    the float range, and ConvergenceError if the tuned depth is
+    subnormal or fails to reproduce target_a to 1e-9 relative, as
+    happens once the target is too large for any float64 depth to
+    represent.
     """
     if not isinstance(branch, int) or branch < 0:
         raise DomainError(f"branch must be a nonnegative int, got {branch!r}")
@@ -233,6 +234,11 @@ def tune_to_scattering_length(
     # roots, no pole.  h cancels as x -> 0, so below x = 1 the solve
     # takes h(x)/x = S(x) + t * cos x instead.
     t = target_a / rw
+    if t == 0.0 or not math.isfinite(t):
+        raise DomainError(
+            f"target/Rw = {target_a!r}/{rw!r} = {t!r} leaves the float range; "
+            f"no depth can be tuned"
+        )
     c = 1.0 - t
 
     def h(x: float) -> float:
@@ -265,9 +271,15 @@ def tune_to_scattering_length(
             f"Rw = {rw!r} gives the depth x0^2/(2*mu*Rw^2) = {depth!r} at "
             f"x0 = {x!r}, outside the positive floats; no depth can be tuned"
         )
+    if depth < sys.float_info.min:
+        raise ConvergenceError(
+            f"the depth tuned to target {target_a!r} on branch {branch} would be "
+            f"the subnormal float {depth!r}, below {sys.float_info.min!r}; "
+            f"no normal float64 depth reaches this target"
+        )
     tuned = replace(template, depth_V0=depth)
     achieved = _a_of_x(_strength(tuned), rw)
-    if depth < sys.float_info.min or abs(achieved - target_a) > 1e-9 * abs(target_a):
+    if abs(achieved - target_a) > 1e-9 * abs(target_a):
         raise ConvergenceError(
             f"depth solve reached a = {achieved!r} for target {target_a!r} "
             f"on branch {branch}, outside 1e-9 relative: a(x0) has a relative "

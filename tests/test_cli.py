@@ -709,6 +709,13 @@ class TestProfileFit:
         assert code == 2
         assert "line 2" in err
 
+    def test_non_numeric_row_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "words.csv"
+        path.write_text("1.0,abc\n", encoding="utf-8")
+        code, out, err = run(capsys, "profile-fit", "--in", str(path))
+        assert (code, out) == (2, "")
+        assert "non-numeric curve row at line 1" in err
+
     def test_comments_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing here\n\n", encoding="utf-8")

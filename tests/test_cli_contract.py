@@ -6,7 +6,8 @@ stdout.  It never shows a traceback or a numpy warning.  Each file-free
 subcommand gets one hypothesis test run in process through main, with
 every value passed as a --name=value token so that negative numbers
 parse.  profile-fit gets one that fits each generated curve, with and
-without a --guess, and a few subprocess cases.
+without a --guess, one that fits hand-written curve files, and a few
+subprocess cases.
 """
 
 import contextlib
@@ -117,6 +118,9 @@ def test_dipole_ladder(alpha, strength, by_alpha, n_max, scale, fmt, label):
     })
 
 
+# target/Rw underflows to 0, and the tuning's Newton slope divided by 0.
+@example(depth=None, range_=4503599627370496.0, mass=1.0, tune_to=-4.4117989e-316,
+         branch=0, tol=None, fmt="csv", label=None)
 @SETTINGS
 @given(
     depth=st.none() | POSITIVE, range_=POSITIVE, mass=POSITIVE,
@@ -209,6 +213,45 @@ def test_profile_fit(model, er, gamma, q, sigma0, emin, emax, points, noise, see
                         {k: v for k, v in guess.items() if fit_model == "fano" or k != "q"}
                     )
                 check_contract("profile-fit", {"in": path, "model": fit_model, "guess": start})
+
+
+# Cells a user may type: numbers, spellings float() takes or refuses,
+# and text.
+CELLS = FLOATS.map(repr) | st.sampled_from(
+    ["nan", "inf", "-inf", "1e400", "-1e400", "1_0", "abc", "", " 2.5 ", "0x10", "1,5"]
+)
+LINES = st.lists(CELLS, min_size=1, max_size=3).map(",".join) | st.sampled_from(
+    ["", "   ", "# comment", "#energy,sigma", "energy,sigma"]
+)
+
+
+@st.composite
+def curve_files(draw):
+    """A peak sampled on a grid, with lines replaced or inserted, the
+    grid perhaps shuffled, and the file perhaps cut short."""
+    n = draw(st.integers(0, 40))
+    center, width = draw(st.floats(-3.0, 3.0)), draw(st.floats(0.05, 5.0))
+    energies = [-4.0 + 8.0 * k / max(n - 1, 1) for k in range(n)]
+    if draw(st.booleans()):
+        energies = draw(st.permutations(energies))
+    lines = [f"{e!r},{1.0 / (1.0 + ((e - center) / width) ** 2)!r}" for e in energies]
+    for at, line, replace in draw(st.lists(
+        st.tuples(st.integers(0, 40), LINES, st.booleans()), max_size=4
+    )):
+        at = min(at, len(lines))
+        lines[at:at + replace] = [line]
+    return "\n".join(lines) + draw(st.sampled_from(["\n", ""]))
+
+
+@example(text="1.0,abc\n", model="both")
+@SETTINGS
+@given(text=curve_files(), model=st.sampled_from(["both", "fano", "bw"]))
+def test_profile_fit_hand_written(text, model):
+    # Curve files as a user writes them, not as profile-gen does.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.csv"
+        path.write_text(text, encoding="utf-8")
+        check_contract("profile-fit", {"in": str(path), "model": model})
 
 
 def test_profile_fit_subprocess_exits(tmp_path):

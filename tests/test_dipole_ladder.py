@@ -107,6 +107,24 @@ class TestLadderResidual:
             with pytest.raises(DomainError):
                 ladder_residual(1.0, kappa, 0)
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_scale(self, scale):
+        # These raised a bare math domain error or returned nan or inf.
+        with pytest.raises(DomainError, match="scale must be finite and positive"):
+            ladder_residual(1.0, 1.0, 0, scale=scale)
+
+    @pytest.mark.parametrize("n", [-1, 2.0, "0"])
+    def test_bad_level_index(self, n):
+        # kappa_n rejects these too; n = -1 used to return a number.
+        with pytest.raises(DomainError, match="level index"):
+            ladder_residual(1.0, 1.0, n)
+
+    @pytest.mark.parametrize("scale,kappa", [(1e-308, 1e308), (1e308, 1e-308)])
+    def test_ratio_out_of_float_range(self, scale, kappa):
+        # scale/kappa reads 0 or inf; its log is taken by parts.
+        want = math.log(scale) - math.log(kappa) - arg_gamma_term(1.0) - 0.5 * math.pi
+        assert ladder_residual(1.0, kappa, 0, scale=scale) == pytest.approx(want, rel=1e-15)
+
     def test_wrong_level_offsets_by_pi(self):
         k = kappa_n(1.0, 2)
         r1 = ladder_residual(1.0, k, 1)

@@ -271,6 +271,23 @@ class TestSeededNoise:
             seeded_gaussian_noise(5, 16, 1.0), seeded_gaussian_noise(5 + (1 << 64), 16, 1.0)
         )
 
+    def test_largest_sigma_stays_finite(self):
+        # u and v are odd multiples of 2**-53, so the largest unit
+        # deviates come from the smallest pairs; none reaches 16, and
+        # sigma up to the float maximum / 16 keeps every deviate finite.
+        # sigma = 1e308 overflowed with a numpy warning.
+        tiny = 2.0**-53
+        worst = max(
+            k * tiny * math.sqrt(-2.0 * math.log(s) / s)
+            for k in range(1, 1 << 16, 2)
+            for s in [(k * tiny) ** 2 + tiny**2]
+        )
+        assert 11.0 < worst < 12.1
+        sigma = numkit._SIGMA_MAX
+        assert sigma == sys.float_info.max / 16.0
+        for seed in range(20):
+            assert np.isfinite(seeded_gaussian_noise(seed, 1000, sigma)).all()
+
     def test_moments_are_sane(self):
         xs = seeded_gaussian_noise(2024, 20000, 1.0)
         assert abs(xs.mean()) < 0.05
@@ -282,5 +299,7 @@ class TestSeededNoise:
             seeded_gaussian_noise(0, -1, 1.0)
         with pytest.raises(DomainError):
             seeded_gaussian_noise(0, 4, -0.5)
+        with pytest.raises(DomainError):
+            seeded_gaussian_noise(17, 2, 1e308)
         with pytest.raises(DomainError):
             seeded_gaussian_noise(1.5, 4, 1.0)

@@ -36,10 +36,22 @@ class TestReducedEnergy:
         eps = reduced_energy(np.array([1.0, 1.5, 1.75]), 1.5, 0.5)
         assert eps.tolist() == [-2.0, 0.0, 1.0]
 
-    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf, 5e-324])
     def test_bad_width(self, gamma):
+        # Gamma = 5e-324 halves to 0: it raised ZeroDivisionError.
         with pytest.raises(DomainError):
             reduced_energy(1.0, 0.0, gamma)
+
+    @pytest.mark.parametrize("e_r", [math.nan, math.inf])
+    def test_bad_resonance_energy(self, e_r):
+        with pytest.raises(DomainError, match="E_r"):
+            reduced_energy(np.array([math.inf]), e_r, 1.0)
+
+    def test_overflowing_offsets_read_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = reduced_energy(np.array([-1e308, 1e308]), 0.0, 1.0)
+        assert eps.tolist() == [-math.inf, math.inf]
 
 
 class TestBreitWigner:
@@ -59,6 +71,14 @@ class TestBreitWigner:
         p = BreitWignerParameters(E_r=1.25, Gamma=0.5, sigma0=2.0)
         for delta in (0.125, 0.25, 1.0, 3.5):
             assert breit_wigner(p.E_r + delta, p) == breit_wigner(p.E_r - delta, p)
+
+    def test_far_wing_is_zero_without_warning(self):
+        # eps*eps overflows; numpy warned about it for array input.
+        p = BreitWignerParameters(E_r=0.0, Gamma=1.0, sigma0=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert breit_wigner(np.array([1e200, -1e200]), p).tolist() == [0.0, 0.0]
+            assert breit_wigner(np.float64(1e200), p) == 0.0
 
 
 class TestFano:
@@ -132,6 +152,14 @@ class TestParameterValidation:
             BreitWignerParameters(E_r=1.0, Gamma=0.0, sigma0=1.0)
         with pytest.raises(DomainError):
             FanoParameters(E_r=1.0, Gamma=-0.5, q=1.0, sigma0=1.0)
+
+    def test_half_width_must_not_underflow(self):
+        # Gamma/2 rounds to 0, so no profile could be evaluated.
+        with pytest.raises(DomainError, match="Gamma/2 underflows"):
+            BreitWignerParameters(E_r=1.0, Gamma=5e-324, sigma0=1.0)
+        with pytest.raises(DomainError, match="Gamma/2 underflows"):
+            FanoParameters(E_r=1.0, Gamma=5e-324, q=1.0, sigma0=1.0)
+        BreitWignerParameters(E_r=1.0, Gamma=1e-323, sigma0=1.0)
 
     def test_sigma0_must_be_positive(self):
         with pytest.raises(DomainError):

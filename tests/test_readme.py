@@ -1,14 +1,18 @@
-"""README's command-line examples, run through cli.main.
+"""README's library tour and command-line examples.
 
-Each "$ efano ..." line of the "Command line" section (with its "\\"
-continuations joined) runs in one temporary directory, in README order,
-so profile-fit reads the curve profile-gen wrote.  Its stdout must equal
-the lines that follow it byte for byte, where "..." stands for any text.
+The "Library tour" block runs in a fresh namespace and must hold the
+claims its comments make.  Each "$ efano ..." line of the "Command line"
+section (with its "\\" continuations joined) runs through cli.main in
+one temporary directory, in README order, so profile-fit reads the
+curve profile-gen wrote.  Its stdout must equal the lines that follow it
+byte for byte, where "..." stands for any text.
 """
 
 import re
 import shlex
 from pathlib import Path
+
+import pytest
 
 from efano.cli import main
 
@@ -19,6 +23,17 @@ def _section(text: str, heading: str) -> str:
     start = text.index(f"\n## {heading}\n")
     end = text.find("\n## ", start + 1)
     return text[start:end if end != -1 else None]
+
+
+def test_library_tour_holds_its_claims():
+    block = re.search(r"```python\n(.*?)```", _section(README.read_text(), "Library tour"), re.S)
+    namespace: dict = {}
+    exec(compile(block.group(1), str(README), "exec"), namespace)
+    efano = namespace["efano"]
+    assert namespace["n"] == 2
+    assert efano.scattering_length(namespace["tuned"]).a == pytest.approx(1600.0, rel=1e-9)
+    # "the symmetric model is ~1000x worse here"
+    assert 500.0 < namespace["bw_fit"].sse / namespace["fano_fit"].sse < 2000.0
 
 
 def cli_examples() -> list[tuple[str, str]]:

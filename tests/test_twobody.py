@@ -285,7 +285,7 @@ class TestTuneToScatteringLength:
         assert scattering_length(tuned).bound_state_count == branch + 1
 
     @pytest.mark.parametrize(
-        "target,branch", [(-5e-324, 0), (1e300, 0), (1e15, 1), (-1e15, 1), (-1e300, 3)]
+        "target,branch", [(1e300, 0), (1e15, 1), (-1e15, 1), (-1e300, 3)]
     )
     def test_unrepresentable_target_raises(self, target, branch):
         template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
@@ -295,6 +295,34 @@ class TestTuneToScatteringLength:
         assert "1e-9 relative" in message
         assert "condition number of ~|a|*x0^2/Rw" in message
         assert "not representable with a float64 depth" in message
+
+    @pytest.mark.parametrize("target", [-5e-324, -1e-310])
+    def test_subnormal_depth_raises(self, target):
+        # The solve hits these targets, but only with a subnormal depth
+        # (1e-323 for -5e-324): the message names the depth, not a
+        # condition number of 0.
+        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+        with pytest.raises(ConvergenceError) as info:
+            tune_to_scattering_length(template, target)
+        message = str(info.value)
+        assert "would be the subnormal float" in message
+        assert "no normal float64 depth reaches this target" in message
+        assert "condition number" not in message
+
+    @pytest.mark.parametrize(
+        "template,target",
+        [
+            (SquareWell(1.0, 1e300, 1e16), -2.401259243608378e-164),
+            (SquareWell(1.0, 4503599627370496.0, 1.0), -4.4117989e-316),
+            (SquareWell(1.0, 0.25, 2.11371095e-316), -1.7976931348623157e308),
+        ],
+        ids=["ratio-underflows", "ratio-underflows-cli", "ratio-overflows"],
+    )
+    def test_target_to_range_ratio_out_of_range_raises(self, template, target):
+        # t = target/Rw reads 0 or -inf; the solve used to return x = 0
+        # and the Newton slope divided by x*x*cos(x)**2 = 0.
+        with pytest.raises(DomainError, match="target/Rw = .* leaves the float range"):
+            tune_to_scattering_length(template, target)
 
     def test_shallow_targets_tune_within_tolerance(self):
         # |a| < Rw: the polish must stop on a test relative to |a|, not
