@@ -66,8 +66,16 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
 
     The scale keyword sets the inverse-length prefactor; the default 2.0
     matches the hbar = m = 1 convention used throughout this module.
+    A kappa that overflows to inf or underflows to 0 raises DomainError;
+    a subnormal one is returned.
     """
-    return _kappa(alpha, _checked_arg_gamma(alpha, n, scale), n, scale)
+    kappa = _kappa(alpha, _checked_arg_gamma(alpha, n, scale), n, scale)
+    if not 0.0 < kappa < math.inf:
+        raise DomainError(
+            f"level {n} wave number at scale {scale!r} is {kappa!r}: "
+            "it leaves the float range"
+        )
+    return kappa
 
 
 def _checked_arg_gamma(alpha: float, n: int, scale: float) -> float:

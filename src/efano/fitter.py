@@ -17,15 +17,12 @@ _BLOCK samples, in a fixed order.  For each block the model kernel
 fills a (p, block) Jacobian in place, one contiguous row per parameter
 with the model values f as its last row (d f / d log scale = f); the
 residual follows, and the block's r.r, J r and Gram matrix J J^T are
-added to running totals while the block is still in cache.  The last
-block's J r and J J^T are added only once a trial point is accepted,
-since its J and r are still in the workspace then: a rejected trial
-skips that block's Gram work, all of it for data of one block, and a
-fit of at most one block makes exactly the BLAS calls of a whole-array
-fit.  The workspace is the same few rows of one block whatever the size
-of the data.  Every BLAS sum runs over one block at most, shorter than
-the dot products OpenBLAS splits across its threads, so the fit's bits
-do not depend on the BLAS thread count.
+added to running totals while the block is still in cache.  A trial's
+sweep stops at the block where its sse passes the current one.  The
+workspace is the same few rows of one block whatever the size of the
+data.  Every BLAS sum runs over one block at most, shorter than the dot
+products OpenBLAS splits across its threads, so the fit's bits do not
+depend on the BLAS thread count.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -149,39 +146,36 @@ def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray
     np.multiply(np.negative(eps, out=eps), dfde, out=J[1])
 
 
-def _add_block(J: np.ndarray, r: np.ndarray, g: np.ndarray, A: np.ndarray, first: bool):
-    """Add one block's J @ r to g and its Gram matrix J J^T to A.
-
-    The first block writes them instead, so that a one-block sum is the
-    block's own BLAS result, bit for bit.  The Gram matrix is built row
-    by row, one gemv each: numpy sends J @ J.T to syrk, up to 2.4x
-    slower at 10^5 samples.
-    """
-    if first:
-        np.matmul(J, r, out=g)
-        for j in range(g.size):
-            np.matmul(J, J[j], out=A[j])
-    else:
-        g += J @ r
-        for j in range(g.size):
-            A[j] += J @ J[j]
-
-
-def _sweep(model_jac: Callable, theta: np.ndarray, blocks: list, g: np.ndarray, A: np.ndarray):
+def _sweep(
+    model_jac: Callable, theta: np.ndarray, blocks: list,
+    g: np.ndarray, A: np.ndarray, limit: float,
+) -> float:
     """sse at theta, summed over the blocks in their fixed order.
 
     Each block's model values, Jacobian and residual are written into
-    the workspace views the block carries.  g and A receive the sums of
-    J @ r and J J^T over every block but the last; the last block's J
-    and r stay in the workspace for _add_block once the point is kept.
+    the workspace views the block carries, and its r.r, J @ r and Gram
+    matrix J J^T are added to the sse, g and A.  The first block writes
+    g and A, so that a one-block sum is its own BLAS result, bit for
+    bit.  The Gram matrix takes one gemv per row: numpy sends J @ J.T
+    to syrk, up to 2.4x slower at 10^5 samples.  Partial sums of
+    squares only grow, so once the sse passes limit or is NaN the sweep
+    returns it at once, leaving g and A partial.
     """
     sse = 0.0
     for k, (E, y, J, t, r) in enumerate(blocks):
         model_jac(theta, E, J, t)
         np.subtract(J[-1], y, out=r)
         sse += float(r @ r)
-        if k < len(blocks) - 1:
-            _add_block(J, r, g, A, k == 0)
+        if not sse <= limit:
+            return sse
+        if k == 0:
+            np.matmul(J, r, out=g)
+            for j in range(g.size):
+                np.matmul(J, J[j], out=A[j])
+        else:
+            g += J @ r
+            for j in range(g.size):
+                A[j] += J @ J[j]
     return sse
 
 
@@ -218,12 +212,9 @@ def _minimize(
     for s in range(0, n, width):
         m = min(width, n - s)
         blocks.append((E[s : s + m], y[s : s + m], J[:, :m], t[:, :m], r[:m]))
-    _, _, J_last, _, r_last = blocks[-1]
-    one_block = len(blocks) == 1
     g, g_c = np.empty((2, p))
     A, A_c = np.empty((2, p, p))
-    sse = _sweep(model_jac, theta, blocks, g, A)
-    _add_block(J_last, r_last, g, A, one_block)
+    sse = _sweep(model_jac, theta, blocks, g, A, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
         diag = A.diagonal().tolist()
@@ -246,11 +237,10 @@ def _minimize(
                 step = None
             if step is not None and all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
-                sse_c = _sweep(model_jac, cand, blocks, g_c, A_c)
-                if math.isfinite(sse_c) and sse_c <= sse:
+                sse_c = _sweep(model_jac, cand, blocks, g_c, A_c, sse)
+                if sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
-                    _add_block(J_last, r_last, g_c, A_c, one_block)
                     g, g_c, A, A_c = g_c, g, A_c, A
                     lam = max(lam / 8.0, 1e-12)
                     break

@@ -1,9 +1,12 @@
 """Tests for the inverse-square bound-state ladder."""
 
 import math
+import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from efano import dipole_ladder
 from efano.dipole_ladder import (
@@ -99,6 +102,20 @@ class TestKappaN:
     def test_bad_scale(self, scale):
         with pytest.raises(DomainError):
             kappa_n(1.0, 0, scale=scale)
+
+    @pytest.mark.parametrize(
+        "alpha,n,scale,kappa", [(1e10, 0, 1e300, "inf"), (0.3, 1000, 2.0, "0.0")],
+        ids=["overflow", "underflow"],
+    )
+    def test_kappa_out_of_float_range_raises(self, alpha, n, scale, kappa):
+        # ladder_residual rejects a kappa of inf or 0.0, so kappa_n must not return one.
+        want = f"level {n} wave number at scale {scale!r} is {kappa}"
+        with pytest.raises(DomainError, match=re.escape(want)):
+            kappa_n(alpha, n, scale=scale)
+
+    def test_subnormal_kappa_is_returned(self):
+        # Level 68 at alpha = 0.3 lies below the normal float range.
+        assert 0.0 < kappa_n(0.3, 68) < sys.float_info.min
 
 
 class TestLadderResidual:
@@ -249,3 +266,36 @@ class TestGeometricEnergies:
     def test_flat_ratio_raises(self):
         with pytest.raises(DomainError):
             geometric_energies(-1.0, 1e300, 2)
+
+
+# Full-range floats hit the ends of the float range; powers of ten
+# spread the draws over every decade between.
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=sys.float_info.max) | st.floats(
+    -320.0, 308.0
+).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=POSITIVE_FLOATS, scale=POSITIVE_FLOATS,
+    n=st.integers(0, 300), n_max=st.integers(0, 300),
+)
+def test_ladder_invariants_hold_at_extreme_inputs(alpha, scale, n, n_max):
+    # kappa_n gives a finite positive wave number or raises DomainError;
+    # a ladder's entries are strictly ordered, normal and negative, and
+    # each kappa is kappa_n's bit for bit.
+    try:
+        kappa = kappa_n(alpha, n, scale=scale)
+    except DomainError:
+        pass
+    else:
+        assert isinstance(kappa, float) and 0.0 < kappa < math.inf
+    try:
+        ladder = build_ladder(alpha, n_max, scale=scale)
+    except DomainError:
+        return
+    energies = [entry.epsilon for entry in ladder.entries]
+    assert all(-math.inf < e <= -sys.float_info.min for e in energies)
+    assert all(a < b for a, b in zip(energies, energies[1:]))
+    for entry in ladder.entries:
+        assert entry.kappa == kappa_n(alpha, entry.n, scale=scale)

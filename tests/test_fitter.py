@@ -288,6 +288,50 @@ class TestFitNoisy:
         assert math.isfinite(report.sse)
 
 
+class TestSweep:
+    """A sweep stops at the first block whose running sse passes limit,
+    so a rejected trial does no Gram work past that block."""
+
+    def sweep(self, limit):
+        sizes = []
+
+        def kernel(theta, E, J, t):
+            sizes.append(E.size)
+            fitter._model_jac_bw(theta, E, J, t)
+
+        # Breit-Wigner values are at most sigma0 = 1, so every sample of
+        # y = 5 adds at least 16 to the sse.
+        E = np.linspace(-3.0, 3.0, 12)
+        y = np.full(12, 5.0)
+        J, t, r = np.empty((3, 4)), np.empty((5, 4)), np.empty(4)
+        blocks = [(E[s : s + 4], y[s : s + 4], J, t, r) for s in range(0, 12, 4)]
+        g, A = np.full(3, np.nan), np.full((3, 3), np.nan)
+        sse = fitter._sweep(kernel, np.zeros(3), blocks, g, A, limit)
+        return sse, sizes, g, A
+
+    def test_stops_after_the_block_that_passes_limit(self):
+        sse, sizes, g, A = self.sweep(1.0)
+        assert sizes == [4]
+        assert sse > 1.0
+        # The stop comes before the block's J @ r and Gram rows.
+        assert np.isnan(g).all() and np.isnan(A).all()
+
+    def test_unbounded_sweep_sums_every_block(self):
+        sse, sizes, g, A = self.sweep(math.inf)
+        assert sizes == [4, 4, 4]
+        J = np.empty((3, 12))
+        fitter._model_jac_bw(np.zeros(3), np.linspace(-3.0, 3.0, 12), J, np.empty((5, 12)))
+        r = J[-1] - 5.0
+        assert sse == pytest.approx(r @ r, rel=1e-15)
+        np.testing.assert_allclose(g, J @ r, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(A, J @ J.T, rtol=1e-14, atol=1e-13)
+
+    def test_a_limit_equal_to_the_sse_keeps_every_block(self):
+        # An accepted trial's sse may equal the current one.
+        sse = self.sweep(math.inf)[0]
+        assert self.sweep(sse)[:2] == (sse, [4, 4, 4])
+
+
 class TestLorentzianLimit:
     def test_fano_nests_breit_wigner(self):
         # On a pure Lorentzian the best Fano is the q -> inf limit: the
@@ -335,6 +379,14 @@ class TestFitValidation:
         curve = CrossSectionCurve([0.0, 1.0, 2.0], [1.0, 2.0, 1.0])
         with pytest.raises(DomainError):
             fit(curve, "breit_wigner")
+
+    @pytest.mark.parametrize(
+        "call", [lambda: fit([0.0, 1.0], "fano"), lambda: compare_models(None)],
+        ids=["list", "none"],
+    )
+    def test_non_curve_raises(self, call):
+        with pytest.raises(DomainError, match="expected a CrossSectionCurve"):
+            call()
 
     def test_iteration_budget_is_generous(self):
         assert MAX_ITERATIONS >= 100
