@@ -79,6 +79,9 @@ def _csv(pairs, rows, unit_label: str | None, columns: tuple[str, ...] = ()) -> 
     unit_label, then columns, are the last header tokens when given.
     """
     pairs = list(pairs)
+    # Header values are whitespace-delimited tokens; collapse any
+    # whitespace inside the label so the grammar survives.
+    unit_label = "_".join((unit_label or "").split())
     if unit_label:
         pairs.append(("unit_label", unit_label))
     if columns:
@@ -375,10 +378,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.unit_label is not None:
-        # Header values are whitespace-delimited tokens; collapse any
-        # whitespace inside the label so the grammar survives.
-        args.unit_label = "_".join(args.unit_label.split()) or None
     try:
         text = args.handler(args)
         if args.out is None:

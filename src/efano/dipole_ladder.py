@@ -69,7 +69,7 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
     A kappa that overflows to inf or underflows to 0 raises DomainError;
     a subnormal one is returned.
     """
-    kappa = _kappa(alpha, _checked_arg_gamma(alpha, n, scale), n, scale)
+    kappa = _kappa(alpha, _checked_arg_gamma(alpha, n, scale, "level index"), n, scale)
     if not 0.0 < kappa < math.inf:
         raise DomainError(
             f"level {n} wave number at scale {scale!r} is {kappa!r}: "
@@ -78,11 +78,11 @@ def kappa_n(alpha: float, n: int, *, scale: float = 2.0) -> float:
     return kappa
 
 
-def _checked_arg_gamma(alpha: float, n: int, scale: float) -> float:
-    """arg Gamma(1 - i*alpha), once alpha, the level index n and scale are checked."""
+def _checked_arg_gamma(alpha: float, n: int, scale: float, n_name: str) -> float:
+    """arg Gamma(1 - i*alpha), once alpha, the index n (named n_name) and scale are checked."""
     arg_gamma = arg_gamma_term(alpha)
     if not isinstance(n, int) or n < 0:
-        raise DomainError(f"level index must be a nonnegative int, got {n!r}")
+        raise DomainError(f"{n_name} must be a nonnegative int, got {n!r}")
     require_positive("scale", scale)
     return arg_gamma
 
@@ -98,7 +98,7 @@ def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -
     Returns alpha*ln(scale/kappa) - arg Gamma(1 - i*alpha) - (n + 1/2)*pi,
     which vanishes exactly when kappa is the n-th ladder root.
     """
-    arg_gamma = _checked_arg_gamma(alpha, n, scale)
+    arg_gamma = _checked_arg_gamma(alpha, n, scale, "level index")
     require_positive("kappa", kappa)
     ratio = scale / kappa
     # A ratio that underflows to 0 or overflows takes its log by parts.
@@ -171,10 +171,7 @@ def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder
     is reported as truncated_at.  An alpha so large
     that the energies overflow or stop shrinking raises DomainError.
     """
-    arg_gamma = arg_gamma_term(alpha)
-    if not isinstance(n_max, int) or n_max < 0:
-        raise DomainError(f"n_max must be a nonnegative int, got {n_max!r}")
-    require_positive("scale", scale)
+    arg_gamma = _checked_arg_gamma(alpha, n_max, scale, "n_max")
 
     def levels():
         for n in range(n_max + 1):

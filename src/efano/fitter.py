@@ -67,7 +67,8 @@ GTOL = 1e-8
 # Bound on |q| during optimization: beyond this the profile is a
 # Lorentzian to machine precision and the q direction goes flat.
 Q_CAP = 1e6
-# Bound on |q| coming out of the initializer when no dip is visible.
+# Bound on |q| coming out of the initializer: the |q| of a lone peak,
+# and the cap on the two-extrema inversion.
 INIT_Q_CAP = 1e3
 
 # exp() overflows past ~709.8; keeping the log-parameters inside this
@@ -335,9 +336,7 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
         level = 0.5 * (sigma0 + y_min)
         gamma = _width(E, y, i_min, level, rising=True)
         e_r = float(E[i_min])
-    return FanoParameters(
-        E_r=e_r, Gamma=gamma, q=q, sigma0=max(sigma0, 1e-12 * y_max)
-    )
+    return FanoParameters(E_r=e_r, Gamma=gamma, q=q, sigma0=sigma0)
 
 
 def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameters:
@@ -349,14 +348,12 @@ def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameter
     """
     E, y, i_max, i_min, y_max, has_peak, _ = _extrema(curve)
     if has_peak:
+        e_r, sigma0 = float(E[i_max]), y_max
         gamma = _width(E, y, i_max, 0.5 * y_max, rising=False)
-        return BreitWignerParameters(E_r=float(E[i_max]), Gamma=gamma, sigma0=y_max)
-    shoulder = max(float(y[0]), float(y[-1]))
-    return BreitWignerParameters(
-        E_r=float(E[i_min]),
-        Gamma=0.5 * float(E[-1] - E[0]),
-        sigma0=max(shoulder, 1e-3 * y_max),
-    )
+    else:
+        e_r, sigma0 = float(E[i_min]), max(float(y[0]), float(y[-1]), 1e-3 * y_max)
+        gamma = 0.5 * float(E[-1] - E[0])
+    return BreitWignerParameters(E_r=e_r, Gamma=gamma, sigma0=sigma0)
 
 
 @dataclass(frozen=True)
@@ -457,7 +454,7 @@ def fit(
 
 def compare_models(curve: CrossSectionCurve) -> tuple[FitReport, FitReport]:
     """Fit both models to the same curve; returns (fano, breit_wigner)."""
-    return fit(curve, "fano"), fit(curve, "breit_wigner")
+    return tuple(fit(curve, model) for model in _MODELS)
 
 
 def report_to_json_dict(report: FitReport) -> dict:

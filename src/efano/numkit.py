@@ -177,15 +177,23 @@ _SM64_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _SM64_MIX2 = np.uint64(0x94D049BB133111EB)
 _U64 = 0xFFFFFFFFFFFFFFFF
 
-# u and v are odd multiples of 2**-53, so s >= 2**-105 and no unit
-# deviate exceeds |u|*m <= sqrt(-2 log s) ~ 12.07: a sigma up to the
+# A nonzero u or v is at least 2**-53 in magnitude, so an accepted
+# s >= 2**-106 (reached with u = 0) and no unit deviate exceeds
+# |u|*m <= sqrt(-2 log s) <= sqrt(212 log 2) ~ 12.12: a sigma up to the
 # float maximum / 16 keeps every deviate finite.
 _SIGMA_MAX = sys.float_info.max / 16.0
 
 
-def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
-    """SplitMix64 outputs start+1 .. start+count, mapped to (0, 1).
+def _check_seed(seed: int) -> None:
+    if not isinstance(seed, int):
+        raise DomainError(f"seed must be an int, got {type(seed).__name__}")
 
+
+def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
+    """SplitMix64 outputs start+1 .. start+count, mapped to (0, 1].
+
+    Below 0.5 each value is an odd multiple of 2**-54; from 0.5 up the
+    half-ulp offset is a tie that rounds to even, so 0.5 and 1.0 occur.
     uint64 arrays wrap on overflow, which gives the states' mod 2^64.
     """
     z = np.arange(start + 1, start + count + 1, dtype=np.uint64)
@@ -196,8 +204,7 @@ def _unit_open(seed: int, start: int, count: int) -> np.ndarray:
     z ^= z >> np.uint64(27)
     z *= _SM64_MIX2
     z ^= z >> np.uint64(31)
-    # Take 53 bits, then offset by half an ulp so 0.0 is never produced
-    # (the polar method divides by it).
+    # Take 53 bits, then offset by 2**-54 so 0.0 is never produced.
     x = (z >> np.uint64(11)).astype(np.float64)
     x *= 1.0 / (1 << 53)
     x += 0.5 / (1 << 53)
@@ -216,8 +223,9 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
 
     SplitMix64 is counter-based: its k-th output (k = 1, 2, ...) mixes
     the state seed + k*0x9E3779B97F4A7C15 mod 2^64, with the seed taken
-    mod 2^64.  Consecutive outputs form (u, v) pairs on (-1, 1); a pair
-    is accepted when s = u*u + v*v lies in (0, 1), and gives the two
+    mod 2^64.  Consecutive outputs form (u, v) pairs on (-1, 1], where
+    0.0 and 1.0 occur; a pair is accepted when s = u*u + v*v lies in
+    (0, 1), which excludes u = v = 0, and gives the two
     deviates sigma*(u*m) and sigma*(v*m), m = sqrt(-2 log(s) / s), in
     that order; an odd n drops the last v.  The pairs are drawn in
     blocks of the stream and screened with a mask, keeping their order.
@@ -225,8 +233,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     vectorised log is not correctly rounded and would change the last
     bit of some deviates.
     """
-    if not isinstance(seed, int):
-        raise DomainError(f"seed must be an int, got {type(seed).__name__}")
+    _check_seed(seed)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"sample count must be a nonnegative int, got {n!r}")
     if not 0.0 <= sigma <= _SIGMA_MAX:
@@ -248,6 +255,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         uv -= 1.0
         u, v = uv[:, 0], uv[:, 1]
         s = u * u + v * v
+        # s != 0.0 screens out the pair u = v = 0, which can occur.
         keep = np.flatnonzero((s < 1.0) & (s != 0.0))[:left]
         uv_blocks.append(uv[keep])
         s_blocks.append(s[keep])

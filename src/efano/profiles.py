@@ -23,7 +23,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import DomainError, require_finite, require_positive
-from .numkit import seeded_gaussian_noise
+from .numkit import _check_seed, seeded_gaussian_noise
 
 __all__ = [
     "BreitWignerParameters",
@@ -183,8 +183,10 @@ def synthesize(
     keeps the interference zero visible at any noise level.  Samples
     driven negative are clamped to zero and counted in meta["clamped"].
 
-    Requires a strictly increasing grid of at least 8 points.
+    Requires a strictly increasing grid of at least 8 points, and an
+    int seed whatever the noise level.
     """
+    _check_seed(seed)
     grid = np.asarray(e_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < MIN_CURVE_SAMPLES:
         raise DomainError(

@@ -99,7 +99,7 @@ def _a_of_x(x: float, range_rw: float) -> float:
 
 
 def _bound_count(x0: float) -> int:
-    return max(0, math.floor(x0 / math.pi + 0.5))
+    return math.floor(x0 / math.pi + 0.5)
 
 
 def _strength(well: SquareWell) -> float:
@@ -127,12 +127,9 @@ def scattering_length(
     if not (math.isfinite(unitarity_tol) and unitarity_tol >= 0.0):
         raise DomainError(f"unitarity_tol must be nonnegative, got {unitarity_tol!r}")
     x0 = _strength(well)
-    count = _bound_count(x0)
-    if abs(math.cos(x0)) < unitarity_tol:
-        return ScatteringLengthResult(a=None, unitary=True, bound_state_count=count)
-    return ScatteringLengthResult(
-        a=_a_of_x(x0, well.range_Rw), unitary=False, bound_state_count=count
-    )
+    unitary = abs(math.cos(x0)) < unitarity_tol
+    a = None if unitary else _a_of_x(x0, well.range_Rw)
+    return ScatteringLengthResult(a=a, unitary=unitary, bound_state_count=_bound_count(x0))
 
 
 def _solve(f, lo: float, hi: float) -> float:

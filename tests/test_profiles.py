@@ -281,3 +281,12 @@ class TestSynthesize:
     def test_bad_noise_level(self, noise):
         with pytest.raises(DomainError):
             synthesize(FANO_DYADIC, self.grid(), noise)
+
+    @pytest.mark.parametrize("noise", [0.0, 0.01])
+    def test_seed_is_checked_as_the_noise_stream_checks_it(self, noise):
+        # The rule holds even when noise 0 never draws the seed.
+        with pytest.raises(DomainError) as want:
+            seeded_gaussian_noise(7.5, 1, 1.0)
+        with pytest.raises(DomainError) as got:
+            synthesize(FANO_DYADIC, self.grid(), noise, seed=7.5)
+        assert str(got.value) == str(want.value) == "seed must be an int, got float"

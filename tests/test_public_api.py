@@ -161,7 +161,9 @@ CALLS = {
         lambda params, grid, noise, seed: efano.synthesize(
             efano.FanoParameters(*params), grid, noise, seed
         ),
-        st.tuples(st.tuples(FLOATS, FLOATS, FLOATS, FLOATS), GRIDS, FLOATS, st.integers(0, 9)),
+        st.tuples(
+            st.tuples(FLOATS, FLOATS, FLOATS, FLOATS), GRIDS, FLOATS, st.integers(0, 9) | FLOATS
+        ),
     ),
     "initial_guess_fano": (
         lambda args: efano.initial_guess_fano(_curve(*args)), st.tuples(CURVES)
@@ -201,6 +203,10 @@ KNOWN_EDGES = [
     ("reduced_energy", (1.0, 0.0, 5e-324)),
     ("reduced_energy", (np.array([1.0]), 0.0, 5e-324)),
     ("seeded_gaussian_noise", (17, 2, 1e308)),
+    # A seed synthesize never draws (noise 0) is checked all the same.
+    ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, float("nan"))),
+    ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, float("inf"))),
+    ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, 7.5)),
 ]
 
 
