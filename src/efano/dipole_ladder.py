@@ -88,8 +88,24 @@ def _checked_arg_gamma(alpha: float, n: int, scale: float, n_name: str) -> float
 
 
 def _kappa(alpha: float, arg_gamma: float, n: int, scale: float) -> float:
-    phase = (n + 0.5) * math.pi + arg_gamma
-    return scale * math.exp(-phase / alpha)
+    if math.isinf(arg_gamma):
+        # Past alpha ~ 3e305 arg Gamma overflows, but Stirling gives
+        # -arg Gamma / alpha = ln(alpha) - 1 + pi/(4 alpha), the last
+        # term far below rounding.
+        x = math.log(alpha) - 1.0 - (n + 0.5) * math.pi / alpha
+    else:
+        x = -((n + 0.5) * math.pi + arg_gamma) / alpha
+    return _scaled_exp(scale, x)
+
+
+def _scaled_exp(c: float, x: float) -> float:
+    """c * exp(x), which may be normal where exp(x) alone is subnormal
+    or zero; exp(x) is then taken as two normal halves."""
+    e = math.exp(x)
+    if e < sys.float_info.min:
+        half = math.exp(0.5 * x)
+        return c * half * half
+    return c * e
 
 
 def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -> float:
@@ -200,6 +216,8 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
         )
     if not isinstance(count, int) or count < 0:
         raise DomainError(f"count must be a nonnegative int, got {count!r}")
-    step = -2.0 * math.pi / alpha
-    energies = (ground_energy * math.exp(step * n) for n in range(count))
+    # Below alpha ~ 3.5e-308 the step would be -inf, and level 0
+    # exp(-inf * 0) = nan; the float maximum keeps level 0 the ground.
+    step = max(-2.0 * math.pi / alpha, -sys.float_info.max)
+    energies = (_scaled_exp(ground_energy, step * n) for n in range(count))
     return _take_levels((e, e) for e in energies)[0]

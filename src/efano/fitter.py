@@ -332,7 +332,8 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
     else:
         q = 0.0
         y_min = float(y[i_min])
-        sigma0 = max(baseline, 1e-3 * y_max)
+        # y_max is an end sample here, so baseline >= 0.5*y_max >= 1e-3*y_max.
+        sigma0 = baseline
         level = 0.5 * (sigma0 + y_min)
         gamma = _width(E, y, i_min, level, rising=True)
         e_r = float(E[i_min])
@@ -348,12 +349,13 @@ def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameter
     """
     E, y, i_max, i_min, y_max, has_peak, _ = _extrema(curve)
     if has_peak:
-        e_r, sigma0 = float(E[i_max]), y_max
+        e_r = float(E[i_max])
         gamma = _width(E, y, i_max, 0.5 * y_max, rising=False)
     else:
-        e_r, sigma0 = float(E[i_min]), max(float(y[0]), float(y[-1]), 1e-3 * y_max)
+        # With no interior peak, y_max is the larger end sample: the shoulder.
+        e_r = float(E[i_min])
         gamma = 0.5 * float(E[-1] - E[0])
-    return BreitWignerParameters(E_r=e_r, Gamma=gamma, sigma0=sigma0)
+    return BreitWignerParameters(E_r=e_r, Gamma=gamma, sigma0=y_max)
 
 
 @dataclass(frozen=True)

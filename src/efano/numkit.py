@@ -241,8 +241,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     if n == 0:
         return np.empty(0)
     seed &= _U64
-    uv_blocks: list[np.ndarray] = []
-    s_blocks: list[np.ndarray] = []
+    pairs: list[np.ndarray] = []
     left = (n + 1) // 2
     drawn = 0
     while left > 0:
@@ -257,12 +256,8 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         s = u * u + v * v
         # s != 0.0 screens out the pair u = v = 0, which can occur.
         keep = np.flatnonzero((s < 1.0) & (s != 0.0))[:left]
-        uv_blocks.append(uv[keep])
-        s_blocks.append(s[keep])
+        s = s[keep]
+        log_s = np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
+        pairs.append(uv[keep] * np.sqrt(-2.0 * log_s / s)[:, None])
         left -= keep.size
-    uv = np.concatenate(uv_blocks)
-    s = np.concatenate(s_blocks)
-    log_s = np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
-    m = np.sqrt(-2.0 * log_s / s)
-    out = sigma * (uv * m[:, None])
-    return out.ravel()[:n]
+    return (sigma * np.concatenate(pairs)).ravel()[:n]

@@ -203,16 +203,15 @@ def synthesize(
         **asdict(p),
         "noise": float(noise_sigma_relative),
         "seed": int(seed),
+        "clamped": 0,
     }
-    clamped = 0
     # A non-finite grid point or an overflowing product leaves a value
     # that CrossSectionCurve rejects; numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigmas = np.asarray(evaluate(grid, p), dtype=np.float64)
+        sigmas = evaluate(grid, p)
         if noise_sigma_relative > 0.0:
             g = seeded_gaussian_noise(seed, grid.size, 1.0)
             noisy = sigmas * (1.0 + noise_sigma_relative * g)
-            clamped = int(np.count_nonzero(noisy < 0.0))
+            meta["clamped"] = int(np.count_nonzero(noisy < 0.0))
             sigmas = np.maximum(noisy, 0.0)
-    meta["clamped"] = clamped
     return CrossSectionCurve(grid, sigmas, meta)

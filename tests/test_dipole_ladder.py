@@ -5,7 +5,7 @@ import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from efano import dipole_ladder
@@ -24,6 +24,16 @@ from efano.errors import DomainError, SubcriticalStrengthError
 from efano.numkit import log_gamma
 
 from oracles import arg_gamma_reference
+
+# Full-range floats hit the ends of the float range; powers of ten
+# spread the draws over every decade between.
+POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=sys.float_info.max) | st.floats(
+    -320.0, 308.0
+).map(lambda e: 10.0**e)
+
+# A float result carries a relative error of a few units of 2**-53 per
+# operation, and exp(x) one of ~|x| * 2**-53 from the rounding of x.
+ULP = 2.0**-53
 
 # Ground-state wave number at alpha = 1, scale = 2: exactly
 # 2*exp(-(pi/2 + arg Gamma(1 - i))), frozen using the independently
@@ -112,6 +122,27 @@ class TestKappaN:
         want = f"level {n} wave number at scale {scale!r} is {kappa}"
         with pytest.raises(DomainError, match=re.escape(want)):
             kappa_n(alpha, n, scale=scale)
+
+    @pytest.mark.parametrize(
+        "alpha,n,scale",
+        [(3e305, 0, 1e-300), (3e305, 5, 1e-300), (3e305, 9999, 1e-300),
+         (1e306, 0, 1e-300), (1e306, 5, 1e-300), (1e306, 9999, 1e-300),
+         (sys.float_info.max, 0, 1e-300), (sys.float_info.max, 9999, 2.0),
+         (1.0, 230, 1e300), (1.0, 300, 1e300), (0.12, 27, 3e159)],
+    )
+    def test_matches_mpmath_where_its_parts_leave_the_float_range(self, alpha, n, scale):
+        # From alpha ~ 3e305 arg Gamma(1 - i*alpha) overflows to -inf, and
+        # in the last three cases exp(-phase/alpha) alone is subnormal or
+        # zero; kappa itself is a normal float in every case.  kappa is
+        # scale * exp(x) with x its exponent, so it carries ~|x| * 2**-53.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(60):
+            big = mpmath.mpf(alpha)
+            phase = (n + mpmath.mpf(0.5)) * mpmath.pi + mpmath.loggamma(mpmath.mpc(1, -big)).imag
+            x = -phase / big
+            want = mpmath.mpf(scale) * mpmath.exp(x)
+            err = abs(kappa_n(alpha, n, scale=scale) / want - 1)
+        assert err <= 2.0 * (abs(float(x)) + 1.0) * ULP
 
     def test_subnormal_kappa_is_returned(self):
         # Level 68 at alpha = 0.3 lies below the normal float range.
@@ -226,6 +257,14 @@ class TestBuildLadder:
         with pytest.raises(DomainError):
             build_ladder(alpha, 3)
 
+    def test_one_level_past_arg_gamma_overflow(self):
+        # kappa is finite at alpha = 1e306, but the ratio exp(-2*pi/alpha)
+        # rounds to 1, so a second level cannot be told from the first.
+        ladder = build_ladder(1e306, 0, scale=1e-300)
+        assert [e.kappa for e in ladder.entries] == [kappa_n(1e306, 0, scale=1e-300)]
+        with pytest.raises(DomainError, match="the ladder ratio rounds to 1"):
+            build_ladder(1e306, 1, scale=1e-300)
+
 
 class TestGeometricEnergies:
     def test_matches_build_ladder(self):
@@ -240,11 +279,34 @@ class TestGeometricEnergies:
     def test_empty_tower(self):
         assert geometric_energies(-1.0, 1.0, 0) == []
 
-    def test_ratio_is_exact_in_form(self):
-        tower = geometric_energies(-2.0, 0.9, 4)
-        want = math.exp(-2.0 * math.pi / 0.9)
-        for a, b in zip(tower, tower[1:]):
-            assert b / a == pytest.approx(want, rel=1e-12)
+    @settings(max_examples=200, deadline=None)
+    @given(ground=POSITIVE_FLOATS, alpha=POSITIVE_FLOATS, count=st.integers(0, 400))
+    @example(ground=2.0, alpha=0.9, count=4)
+    @example(ground=1e300, alpha=2.0 * math.pi / 10.0, count=200)
+    def test_ratio_is_exact_in_form(self, ground, alpha, count):
+        # Level n is -ground * exp(step * n), step = -2*pi/alpha; a ratio
+        # that rounds to 1 raises.  Levels are normal, negative and
+        # strictly shallower, consecutive ones differ by exp(step), and
+        # the first level left out lies below the normal float range.
+        try:
+            tower = geometric_energies(-ground, alpha, count)
+        except DomainError as exc:
+            assert "the ladder ratio rounds to 1" in str(exc)
+            return
+        step = -2.0 * math.pi / alpha
+        assert all(-math.inf < e <= -sys.float_info.min for e in tower)
+        assert all(a < b for a, b in zip(tower, tower[1:]))
+        # The ratio is compared in logs, where it cannot underflow: each
+        # log carries its own size, and each level the size of its
+        # exponent, step * n, times 2**-53.
+        logs = [math.log(-e) for e in tower]
+        for n, (la, lb) in enumerate(zip(logs, logs[1:])):
+            size = abs(la) + abs(lb) + abs(step) * (2 * n + 2) + 1.0
+            assert abs(lb - la - step) <= 8.0 * size * ULP
+        n = len(tower)
+        if n < count:
+            exponent = step * n if n else 0.0
+            assert math.log(ground) + exponent < math.log(sys.float_info.min) + 1e-9
 
     @pytest.mark.parametrize("ground", [0.0, 1.0, math.nan, -math.inf])
     def test_bad_ground_energy(self, ground):
@@ -268,22 +330,19 @@ class TestGeometricEnergies:
             geometric_energies(-1.0, 1e300, 2)
 
 
-# Full-range floats hit the ends of the float range; powers of ten
-# spread the draws over every decade between.
-POSITIVE_FLOATS = st.floats(min_value=5e-324, max_value=sys.float_info.max) | st.floats(
-    -320.0, 308.0
-).map(lambda e: 10.0**e)
-
-
 @settings(max_examples=200, deadline=None)
 @given(
     alpha=POSITIVE_FLOATS, scale=POSITIVE_FLOATS,
     n=st.integers(0, 300), n_max=st.integers(0, 300),
 )
+@example(alpha=0.12, scale=3e159, n=27, n_max=40)
+@example(alpha=1e306, scale=1e-300, n=0, n_max=0)
 def test_ladder_invariants_hold_at_extreme_inputs(alpha, scale, n, n_max):
     # kappa_n gives a finite positive wave number or raises DomainError;
-    # a ladder's entries are strictly ordered, normal and negative, and
-    # each kappa is kappa_n's bit for bit.
+    # a ladder's entries are strictly ordered, normal and negative, each
+    # kappa is kappa_n's bit for bit, consecutive energies differ by the
+    # factor exp(-2*pi/alpha), each entry solves the quantization
+    # condition, and the first level left out has a subnormal energy.
     try:
         kappa = kappa_n(alpha, n, scale=scale)
     except DomainError:
@@ -299,3 +358,25 @@ def test_ladder_invariants_hold_at_extreme_inputs(alpha, scale, n, n_max):
     assert all(a < b for a, b in zip(energies, energies[1:]))
     for entry in ladder.entries:
         assert entry.kappa == kappa_n(alpha, entry.n, scale=scale)
+    # Level n's exponent x_n = ln(kappa_n / scale) sums terms of size
+    # (n + 1/2)*pi/alpha and |arg Gamma|/alpha, and its energy carries
+    # ~2*|x_n| * 2**-53 from exp.  The ratio is compared in logs, where
+    # it cannot underflow, and each log adds its own size times 2**-53.
+    exponents = [math.log(e.kappa) - math.log(scale) for e in ladder.entries]
+    for a, b, xa, xb in zip(ladder.entries, ladder.entries[1:], exponents, exponents[1:]):
+        la, lb = math.log(-a.epsilon), math.log(-b.epsilon)
+        size = abs(la) + abs(lb) + abs(xa) + abs(xb) + (a.n + 3) * math.pi / alpha + 1.0
+        assert abs(lb - la + 2.0 * math.pi / alpha) <= 8.0 * size * ULP
+    # The residual adds terms of size |arg Gamma|, (n + 1/2)*pi and alpha.
+    # Past alpha ~ 3e305 arg Gamma overflows and the residual reads +inf.
+    arg_gamma = arg_gamma_term(alpha)
+    if math.isfinite(arg_gamma):
+        for entry in ladder.entries:
+            size = abs(arg_gamma) + (entry.n + 1) * math.pi + alpha
+            assert abs(ladder_residual(alpha, entry.kappa, entry.n, scale=scale)) <= 8.0 * size * ULP
+    if ladder.truncated_at is not None:
+        try:
+            kappa = kappa_n(alpha, ladder.truncated_at, scale=scale)
+        except DomainError:
+            return  # kappa underflows to 0
+        assert 0.5 * kappa * kappa < sys.float_info.min

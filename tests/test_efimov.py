@@ -1,8 +1,11 @@
 """Tests for three-body state counting and ladder construction."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from efano.efimov import (
     UNBOUNDED,
@@ -13,6 +16,10 @@ from efano.efimov import (
     count_states,
 )
 from efano.errors import DomainError
+
+# Lengths spread over every decade of a wide range: scaled by a power of
+# two within [-300, 300] they stay normal floats, so the scaling is exact.
+LENGTHS = st.floats(-100.0, 100.0).map(lambda e: 10.0**e)
 
 
 class TestCountStates:
@@ -45,14 +52,31 @@ class TestCountStates:
         assert repr(UNBOUNDED) == "unbounded"
         assert type(UNBOUNDED)() is UNBOUNDED
 
-    def test_count_monotone_in_ratio(self):
-        r0 = 1.0
-        ratios = [1.0, 3.0, 23.0, 23.2, 500.0, 540.0, 1e4, 1e6]
-        counts = [count_states(r, r0) for r in ratios]
+    @settings(max_examples=100, deadline=None)
+    @given(ratios=st.lists(st.floats(0.0, 1e100), min_size=1, max_size=12), r0=LENGTHS)
+    @example(ratios=[1.0, 3.0, 23.0, 23.2, 500.0, 540.0, 1e4, 1e6], r0=1.0)
+    def test_count_monotone_in_ratio(self, ratios, r0):
+        # Multiplying by r0 rounds monotonically, so the lengths stay sorted.
+        counts = [count_states(r * r0, r0) for r in sorted(ratios)]
         assert counts == sorted(counts)
 
-    def test_count_depends_only_on_ratio(self):
-        assert count_states(100.0, 1.0) == count_states(0.1, 0.001)
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=LENGTHS, r0=LENGTHS, sign=st.sampled_from([1.0, -1.0]),
+        factor=st.integers(-300, 300).map(lambda k: 2.0**k),
+    )
+    @example(a=100.0, r0=1.0, sign=1.0, factor=0.001)
+    def test_count_depends_only_on_ratio(self, a, r0, sign, factor):
+        # The count is floor(ln(|a|/r0)/pi): scaling both lengths by the
+        # same factor keeps it, and each factor e^pi of |a|/r0 past 1 adds
+        # one state.  That last check skips ratios within 1e-9 of a
+        # boundary e^(k*pi), which rounding may put on either side.
+        a *= sign
+        count = count_states(a, r0)
+        assert count_states(a * factor, r0 * factor) == count
+        t = (math.log(abs(a)) - math.log(r0)) / math.pi
+        if t > 1e-9 and abs(t - round(t)) > 1e-9:
+            assert count_states(a * math.exp(math.pi), r0) == count + 1
 
     def test_nan_rejected(self):
         with pytest.raises(DomainError):
@@ -88,10 +112,32 @@ class TestBuildEfimovLadder:
         assert [n for n, _ in ladder.entries] == [0, 1, 2]
         assert ladder.entries[0][1] == -5.0
 
-    def test_energies_increase_toward_zero(self):
-        ladder = build_efimov_ladder(1.2, -2.0, 5)
+    @settings(max_examples=150, deadline=None)
+    @given(
+        alpha=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+        ground=st.floats(-300.0, 300.0).map(lambda e: -(10.0**e)),
+        count=st.integers(1, 400),
+    )
+    @example(alpha=1.2, ground=-2.0, count=5)
+    @example(alpha=2.0 * math.pi / 10.0, ground=-1e300, count=200)
+    def test_energies_increase_toward_zero(self, alpha, ground, count):
+        # Entries are numbered from 0, normal, negative and strictly
+        # shallower; each is ground * exp(step * n), step = -2*pi/alpha,
+        # so consecutive ones differ by exp(step).  That ratio is compared
+        # in logs, where it cannot underflow, to the size of the logs and
+        # exponents involved times 2**-53.
+        ladder = build_efimov_ladder(alpha, ground, count)
+        ns = [n for n, _ in ladder.entries]
         energies = [e for _, e in ladder.entries]
+        assert ns == list(range(len(ns)))
+        assert ladder.truncated_at == (None if len(ns) == count else len(ns))
+        assert all(-math.inf < e <= -sys.float_info.min for e in energies)
         assert all(a < b < 0.0 for a, b in zip(energies, energies[1:]))
+        step = -2.0 * math.pi / alpha
+        logs = [math.log(-e) for e in energies]
+        for n, (la, lb) in enumerate(zip(logs, logs[1:])):
+            size = abs(la) + abs(lb) + abs(step) * (2 * n + 2) + 1.0
+            assert abs(lb - la - step) <= 8.0 * size * 2.0**-53
 
     @pytest.mark.parametrize("count", [0, -1, 2.0])
     def test_requires_at_least_one_state(self, count):

@@ -4,6 +4,8 @@ import math
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from efano.errors import ConvergenceError, DomainError, UnreachableTargetError
 from efano.twobody import (
@@ -23,6 +25,34 @@ def well_with_x0(x0: float, range_rw: float = 1.0, mu: float = 0.5) -> SquareWel
     """
     depth = x0 * x0 / (2.0 * mu * range_rw * range_rw)
     return SquareWell(depth_V0=depth, range_Rw=range_rw, reduced_mass_mu=mu)
+
+
+def _round_trip_count(target: float, branch: int) -> int:
+    """Tune an Rw = 1 well to target on branch, check that the tuned well
+    reproduces it inside its branch, and return its bound-state count."""
+    template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+    tuned = tune_to_scattering_length(template, target, branch=branch)
+    assert tuned.range_Rw == template.range_Rw
+    assert tuned.reduced_mass_mu == template.reduced_mass_mu
+    lo, hi = branch * math.pi, (branch + 1) * math.pi
+    # a == Rw sits at the interval's closed end, the zero of tan.
+    assert lo < tuned.x0 < hi or (target == 1.0 and tuned.x0 == pytest.approx(hi, rel=1e-15))
+    res = scattering_length(tuned)
+    assert not res.unitary
+    assert res.a == pytest.approx(target, rel=1e-9)
+    return res.bound_state_count
+
+
+def _check_weak_binding(ratio: float, branch: int) -> None:
+    # Once a is many times the range, |eps| approaches 1/(2 mu a^2).
+    template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+    tuned = tune_to_scattering_length(template, ratio * template.range_Rw, branch)
+    eps = binding_energy(tuned)
+    a = scattering_length(tuned).a
+    product = abs(eps) * 2.0 * tuned.reduced_mass_mu * a * a
+    assert 0.9 < product < 1.1
+    # The agreement tightens as the state gets shallower.
+    assert abs(product - 1.0) < 3.0 * template.range_Rw / a
 
 
 class TestSquareWell:
@@ -211,16 +241,26 @@ class TestTuneToScatteringLength:
         ],
     )
     def test_round_trip(self, target, branch, count):
-        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
-        tuned = tune_to_scattering_length(template, target, branch=branch)
-        assert tuned.range_Rw == template.range_Rw
-        assert tuned.reduced_mass_mu == template.reduced_mass_mu
-        lo, hi = branch * math.pi, (branch + 1) * math.pi
-        assert lo < tuned.x0 < hi
-        res = scattering_length(tuned)
-        assert not res.unitary
-        assert res.a == pytest.approx(target, rel=1e-9)
-        assert res.bound_state_count == count
+        assert _round_trip_count(target, branch) == count
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        target=st.floats(-3.0, 9.0).map(lambda e: 10.0**e) | st.floats(-3.0, 9.0).map(lambda e: -(10.0**e)),
+        branch=st.integers(0, 3),
+    )
+    def test_round_trip_over_targets_and_branches(self, target, branch):
+        # Branch 0 reaches no target in (0, Rw).  From |a| ~ 1e5*Rw no
+        # float64 depth reproduces the target to 1e-9, because a(x0)'s
+        # condition number ~|a|*x0^2/Rw grows with it, and the tune says so
+        # with ConvergenceError; every smaller target must tune.  The well
+        # holds branch bound states below Rw and branch + 1 at or above it.
+        assume(not (branch == 0 and 0.0 < target < 1.0))
+        try:
+            count = _round_trip_count(target, branch)
+        except ConvergenceError:
+            assert abs(target) >= 1e4
+            return
+        assert count == branch + (target >= 1.0)
 
     def test_respects_template_geometry(self):
         template = SquareWell(depth_V0=3.0, range_Rw=2.5, reduced_mass_mu=1.7)
@@ -361,15 +401,17 @@ class TestTuneToScatteringLength:
 class TestWeakBindingUniversality:
     @pytest.mark.parametrize("ratio", [25.0, 50.0, 200.0])
     def test_binding_tracks_inverse_square_length(self, ratio):
-        # Once a is many times the range, |eps| approaches 1/(2 mu a^2).
-        template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
-        tuned = tune_to_scattering_length(template, ratio * template.range_Rw)
-        eps = binding_energy(tuned)
-        a = scattering_length(tuned).a
-        product = abs(eps) * 2.0 * tuned.reduced_mass_mu * a * a
-        assert 0.9 < product < 1.1
-        # The agreement tightens as the state gets shallower.
-        assert abs(product - 1.0) < 3.0 / ratio
+        _check_weak_binding(ratio, 0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ratio=st.floats(math.log10(25.0), 8.0).map(lambda e: 10.0**e), branch=st.integers(0, 3))
+    def test_binding_tracks_inverse_square_length_on_every_branch(self, ratio, branch):
+        # Large targets that no float64 depth reproduces raise
+        # ConvergenceError (see test_round_trip_over_targets_and_branches).
+        try:
+            _check_weak_binding(ratio, branch)
+        except ConvergenceError:
+            assume(False)
 
     def test_holds_far_from_the_range(self):
         # Deep in the universal regime |eps| * 2 mu a^2 approaches 1 to
