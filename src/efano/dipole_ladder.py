@@ -112,13 +112,18 @@ def ladder_residual(alpha: float, kappa: float, n: int, *, scale: float = 2.0) -
     """Quantization-condition residual for a candidate wave number.
 
     Returns alpha*ln(scale/kappa) - arg Gamma(1 - i*alpha) - (n + 1/2)*pi,
-    which vanishes exactly when kappa is the n-th ladder root.
+    which vanishes exactly when kappa is the n-th ladder root.  Past
+    alpha ~ 3e305, where arg Gamma overflows, it is taken by Stirling.
     """
     arg_gamma = _checked_arg_gamma(alpha, n, scale, "level index")
     require_positive("kappa", kappa)
     ratio = scale / kappa
     # A ratio that underflows to 0 or overflows takes its log by parts.
     log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(scale) - math.log(kappa)
+    if math.isinf(arg_gamma):
+        # Both terms may overflow, though they nearly cancel.  Stirling gives
+        # -arg Gamma = alpha*(ln(alpha) - 1) + pi/4, the pi/4 far below rounding.
+        return alpha * (log_ratio + math.log(alpha) - 1.0) - (n + 0.5) * math.pi
     return alpha * log_ratio - arg_gamma - (n + 0.5) * math.pi
 
 

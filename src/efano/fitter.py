@@ -37,6 +37,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+# The gufunc np.linalg.solve runs for a 1-D b; its wrapper costs twice the 4x4 solve.
+from numpy.linalg._umath_linalg import solve1
 
 from .errors import DegenerateCurveError, DomainError
 from .profiles import (
@@ -198,8 +200,9 @@ def _minimize(
     count.  g is J @ r, half the gradient of the sse, and A the Gram
     matrix J J^T; those of the current point and of the trial point are
     swapped when a trial is accepted.  Overflow raises no numpy warning:
-    a trial whose sse is not finite is rejected, and a kept point whose
-    sse, g or Gram diagonal is not finite raises DomainError.
+    a trial whose damped system is singular or not finite, or whose sse
+    is not finite, is rejected, and a kept point whose sse, g or Gram
+    diagonal is not finite raises DomainError.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
@@ -215,6 +218,7 @@ def _minimize(
         blocks.append((E[s : s + m], y[s : s + m], J[:, :m], t[:, :m], r[:m]))
     g, g_c = np.empty((2, p))
     A, A_c = np.empty((2, p, p))
+    damping = np.zeros((p, p))
     sse = _sweep(model_jac, theta, blocks, g, A, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
@@ -230,13 +234,11 @@ def _minimize(
         scale = GTOL * math.sqrt(sse)
         if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(grad, diag)):
             return theta, sse, it, True
-        damping = np.diag([1.0 if d <= 0.0 else d for d in diag])
+        damping.flat[:: p + 1] = [1.0 if d <= 0.0 else d for d in diag]
+        neg_g = -g
         while lam <= 1e14:
-            try:
-                step = np.linalg.solve(A + lam * damping, -g)
-            except np.linalg.LinAlgError:
-                step = None
-            if step is not None and all(map(math.isfinite, step.tolist())):
+            step = solve1(A + lam * damping, neg_g)
+            if all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
                 sse_c = _sweep(model_jac, cand, blocks, g_c, A_c, sse)
                 if sse_c <= sse:

@@ -173,6 +173,20 @@ class TestLadderResidual:
         want = math.log(scale) - math.log(kappa) - arg_gamma_term(1.0) - 0.5 * math.pi
         assert ladder_residual(1.0, kappa, 0, scale=scale) == pytest.approx(want, rel=1e-15)
 
+    @pytest.mark.parametrize("alpha", [3e305, 1e306, 1e308])
+    @pytest.mark.parametrize("scale", [1e-300, 2.0])
+    def test_root_past_arg_gamma_overflow(self, alpha, scale):
+        # arg Gamma is -inf here, and at scale 1e-300 so is
+        # alpha*ln(scale/kappa); their sum was NaN.  The residual of the
+        # root carries alpha*ln(alpha) times a few 2**-53, and a kappa
+        # 1% off the root moves it by ~alpha/100, with the right sign.
+        kappa = kappa_n(alpha, 0, scale=scale)
+        residual = ladder_residual(alpha, kappa, 0, scale=scale)
+        assert math.isfinite(residual)
+        assert abs(residual) <= alpha * 2.0**-50 * (math.log(alpha) + 1.0)
+        assert ladder_residual(alpha, 1.01 * kappa, 0, scale=scale) < -alpha / 200.0
+        assert ladder_residual(alpha, 0.99 * kappa, 0, scale=scale) > alpha / 200.0
+
     def test_wrong_level_offsets_by_pi(self):
         k = kappa_n(1.0, 2)
         r1 = ladder_residual(1.0, k, 1)
@@ -368,12 +382,13 @@ def test_ladder_invariants_hold_at_extreme_inputs(alpha, scale, n, n_max):
         size = abs(la) + abs(lb) + abs(xa) + abs(xb) + (a.n + 3) * math.pi / alpha + 1.0
         assert abs(lb - la + 2.0 * math.pi / alpha) <= 8.0 * size * ULP
     # The residual adds terms of size |arg Gamma|, (n + 1/2)*pi and alpha.
-    # Past alpha ~ 3e305 arg Gamma overflows and the residual reads +inf.
+    # Past alpha ~ 3e305, where arg Gamma overflows, Stirling's
+    # alpha*(ln(alpha) - 1) stands for |arg Gamma|.
     arg_gamma = arg_gamma_term(alpha)
-    if math.isfinite(arg_gamma):
-        for entry in ladder.entries:
-            size = abs(arg_gamma) + (entry.n + 1) * math.pi + alpha
-            assert abs(ladder_residual(alpha, entry.kappa, entry.n, scale=scale)) <= 8.0 * size * ULP
+    big = abs(arg_gamma) if math.isfinite(arg_gamma) else alpha * math.log(alpha)
+    for entry in ladder.entries:
+        size = big + (entry.n + 1) * math.pi + alpha
+        assert abs(ladder_residual(alpha, entry.kappa, entry.n, scale=scale)) <= 8.0 * size * ULP
     if ladder.truncated_at is not None:
         try:
             kappa = kappa_n(alpha, ladder.truncated_at, scale=scale)

@@ -332,6 +332,48 @@ class TestSweep:
         assert self.sweep(sse)[:2] == (sse, [4, 4, 4])
 
 
+class TestDampedSolve:
+    """_minimize calls numpy's private solve gufunc without the
+    np.linalg.solve wrapper; these pin it to the public solve, so a
+    numpy upgrade that changes either shows here."""
+
+    @staticmethod
+    def damped(A, diag, lam):
+        damping = np.zeros(A.shape)
+        damping.flat[:: A.shape[0] + 1] = diag
+        return A + lam * damping
+
+    @given(
+        p=st.sampled_from([3, 4]),
+        lam=st.floats(-12.0, 14.0).map(lambda e: 10.0**e) | st.floats(1e-12, 1e14),
+        data=st.data(),
+    )
+    def test_matches_public_solve_bit_for_bit(self, p, lam, data):
+        def vector(size, values):
+            return np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+
+        J = vector(p * 6, st.floats(-1e3, 1e3)).reshape(p, 6)
+        diag = vector(p, st.floats(-6.0, 6.0).map(lambda e: 10.0**e))
+        g = vector(p, st.floats(-1e3, 1e3))
+        M = self.damped(J @ J.T, diag, lam)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in _minimize
+            got = fitter.solve1(M, -g)
+        try:
+            want = np.linalg.solve(M, -g)
+        except np.linalg.LinAlgError:  # equal rows of J, with damping below their rounding
+            assert not np.isfinite(got).all()
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("p", [3, 4])
+    def test_singular_system_gives_a_non_finite_step_without_warning(self, p):
+        M = self.damped(np.ones((p, p)), np.zeros(p), 1.0)
+        with warnings.catch_warnings(), np.errstate(invalid="ignore"):
+            warnings.simplefilter("error")
+            step = fitter.solve1(M, -np.ones(p))
+        assert not np.isfinite(step).all()
+
+
 class TestLorentzianLimit:
     def test_fano_nests_breit_wigner(self):
         # On a pure Lorentzian the best Fano is the q -> inf limit: the
