@@ -13,16 +13,17 @@ are analytic.  The fit stops on MINPACK's scale-free gradient test
 most GTOL.
 
 Each point is evaluated in one sweep over the data in blocks of at most
-_BLOCK samples, in a fixed order.  For each block the model kernel
-fills a (p, block) Jacobian in place, one contiguous row per parameter
-with the model values f as its last row (d f / d log scale = f); the
-residual follows, and the block's r.r, J r and Gram matrix J J^T are
-added to running totals while the block is still in cache.  A trial's
-sweep stops at the block where its sse passes the current one.  The
-workspace is the same few rows of one block whatever the size of the
-data.  Every BLAS sum runs over one block at most, shorter than the dot
-products OpenBLAS splits across its threads, so the fit's bits do not
-depend on the BLAS thread count.
+_BLOCK samples, in a fixed order.  Per block the workspace W holds a
+(p, block) Jacobian, one contiguous row per parameter with the model
+values f as its last row (d f / d log scale = f), then the residual r.
+The model kernel writes f first, and a trial's sweep stops at the block
+where its sse passes the current one, before any derivative row.
+Otherwise the kernel finishes J, and one stacked gemv call of J against
+the rows of W adds J J^T and J r to running totals while the block is
+still in cache.  The workspace is the same few rows of one block
+whatever the size of the data.  Every BLAS sum runs over one block at
+most, shorter than the dot products OpenBLAS splits across its threads,
+so the fit's bits do not depend on the BLAS thread count.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -111,9 +112,10 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
     # parameterizing by the peak turns the large-q valley into a
     # straight line the Gauss-Newton step can follow to the q cap
     # instead of creeping along a curved trade-off with sigma0.
-    # Writes the Jacobian into J (4, n), the model values f into its
-    # last row, using the (5, n) scratch block t.  The association
-    # order of every product and quotient is fixed: it sets the bits.
+    # A generator: writes the model values f into J[3] (4, n) and
+    # yields, then writes the derivative rows, using the (5, n) scratch
+    # block t.  The association order of every product and quotient is
+    # fixed: it sets the bits.
     E_r, lgam, q, lpeak = theta
     gamma = math.exp(lgam)
     peak = math.exp(lpeak)
@@ -125,6 +127,7 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
     np.multiply(denom, big, out=denom_big)
     f = np.multiply(np.multiply(u, peak, out=J[3]), u, out=J[3])
     np.divide(f, denom_big, out=f)
+    yield
     np.multiply(u, 2.0 * peak, out=core)
     np.subtract(1.0, np.multiply(eps, q, out=tmp), out=tmp)
     np.multiply(core, tmp, out=core)
@@ -143,6 +146,7 @@ def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray
     np.divide(np.subtract(E, E_r, out=eps), 0.5 * gamma, out=eps)
     np.add(np.multiply(eps, eps, out=denom), 1.0, out=denom)
     np.divide(sigma0, denom, out=J[2])
+    yield
     np.multiply(np.multiply(eps, -2.0, out=dfde), sigma0, out=dfde)
     np.divide(dfde, np.multiply(denom, denom, out=tmp), out=dfde)
     np.multiply(dfde, -2.0 / gamma, out=J[0])
@@ -150,35 +154,34 @@ def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray
 
 
 def _sweep(
-    model_jac: Callable, theta: np.ndarray, blocks: list,
-    g: np.ndarray, A: np.ndarray, limit: float,
+    model_jac: Callable, theta: np.ndarray, blocks: list, GA: np.ndarray, limit: float,
 ) -> float:
     """sse at theta, summed over the blocks in their fixed order.
 
-    Each block's model values, Jacobian and residual are written into
-    the workspace views the block carries, and its r.r, J @ r and Gram
-    matrix J J^T are added to the sse, g and A.  The first block writes
-    g and A, so that a one-block sum is its own BLAS result, bit for
-    bit.  The Gram matrix takes one gemv per row: numpy sends J @ J.T
-    to syrk, up to 2.4x slower at 10^5 samples.  Partial sums of
-    squares only grow, so once the sse passes limit or is NaN the sweep
-    returns it at once, leaving g and A partial.
+    Each block's model values and residual are written into the
+    workspace views the block carries, and its r.r is added to the sse.
+    Partial sums of squares only grow, so once the sse passes limit or
+    is NaN the sweep returns it at once, before the block's derivative
+    rows, leaving GA partial.  Otherwise one stacked matmul of the
+    block's J against its (p + 1, m, 1) view W (J, then r) adds J J^T
+    and J @ r to GA: rows 0..p-1 are the Gram matrix, row p is g.
+    numpy runs one gemv per stack entry, as for J @ r alone; J @ J.T
+    would go to syrk, up to 2.4x slower at 10^5 samples.  The first
+    block writes GA, so that a one-block sum is its own BLAS result.
     """
     sse = 0.0
-    for k, (E, y, J, t, r) in enumerate(blocks):
-        model_jac(theta, E, J, t)
+    for k, (E, y, J, t, r, W) in enumerate(blocks):
+        kernel = model_jac(theta, E, J, t)
+        next(kernel)
         np.subtract(J[-1], y, out=r)
         sse += float(r @ r)
         if not sse <= limit:
             return sse
+        next(kernel, None)  # the derivative rows
         if k == 0:
-            np.matmul(J, r, out=g)
-            for j in range(g.size):
-                np.matmul(J, J[j], out=A[j])
+            np.matmul(J, W, out=GA)
         else:
-            g += J @ r
-            for j in range(g.size):
-                A[j] += J @ J[j]
+            GA += np.matmul(J, W)
     return sse
 
 
@@ -198,30 +201,31 @@ def _minimize(
     an improving step, or MAX_ITERATIONS pass (converged False only
     here).  Deterministic for fixed inputs, whatever the BLAS thread
     count.  g is J @ r, half the gradient of the sse, and A the Gram
-    matrix J J^T; those of the current point and of the trial point are
-    swapped when a trial is accepted.  Overflow raises no numpy warning:
-    a trial whose damped system is singular or not finite, or whose sse
-    is not finite, is rejected, and a kept point whose sse, g or Gram
-    diagonal is not finite raises DomainError.
+    matrix J J^T, both views of one array per point; those of the
+    current point and of the trial point are swapped when a trial is
+    accepted.  Overflow raises no numpy warning: a trial whose damped
+    system is singular or not finite, or whose sse is not finite, is
+    rejected, and a kept point whose sse, g or Gram diagonal is not
+    finite raises DomainError.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
     p = theta.size
     n = E.size
     width = min(n, _BLOCK)
-    J = np.empty((p, width))
+    W = np.empty((p + 1, width))
     t = np.empty((5, width))
-    r = np.empty(width)
     blocks = []
     for s in range(0, n, width):
         m = min(width, n - s)
-        blocks.append((E[s : s + m], y[s : s + m], J[:, :m], t[:, :m], r[:m]))
-    g, g_c = np.empty((2, p))
-    A, A_c = np.empty((2, p, p))
+        Wm = W[:, :m]
+        blocks.append((E[s : s + m], y[s : s + m], Wm[:p], t[:, :m], Wm[p], Wm[..., None]))
+    GA, GA_c = np.empty((2, p + 1, p, 1))
     damping = np.zeros((p, p))
-    sse = _sweep(model_jac, theta, blocks, g, A, math.inf)
+    sse = _sweep(model_jac, theta, blocks, GA, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
+        A, g = GA[:p, :, 0], GA[p, :, 0]
         diag = A.diagonal().tolist()
         grad = g.tolist()
         if not all(map(math.isfinite, [sse, *grad, *diag])):
@@ -240,11 +244,11 @@ def _minimize(
             step = solve1(A + lam * damping, neg_g)
             if all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
-                sse_c = _sweep(model_jac, cand, blocks, g_c, A_c, sse)
+                sse_c = _sweep(model_jac, cand, blocks, GA_c, sse)
                 if sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
-                    g, g_c, A, A_c = g_c, g, A_c, A
+                    GA, GA_c = GA_c, GA
                     lam = max(lam / 8.0, 1e-12)
                     break
             lam *= 8.0

@@ -28,10 +28,12 @@ kernels must reproduce.
 
 The minimizer reference is the fitter's Levenberg-Marquardt loop as it
 was before it swept the data in blocks: whole-array Jacobians and
-residuals for the current and the trial point, with the sse, gradient
-and Gram matrix each taken in one BLAS call over all n samples.  For n
-up to one block it defines the fit bits; beyond that the blocked sums
-may differ from its single-call ones in the last bits.
+residuals for the current and the trial point, with the sse and the
+gradient each taken in one BLAS call over all n samples and the Gram
+matrix in one gemv per row.  It runs the fitter's kernels, which are
+generators, to completion at every point.  For n up to one block it
+defines the fit bits; beyond that the blocked sums may differ from its
+single-call ones in the last bits.
 """
 
 from __future__ import annotations
@@ -200,7 +202,8 @@ def minimize_reference(
     r, r_c = np.empty((2, E.size))
     t = np.empty((5, E.size))
     A = np.empty((p, p))
-    model_jac(theta, E, J, t)
+    for _ in model_jac(theta, E, J, t):
+        pass
     np.subtract(J[-1], y, out=r)
     sse = float(r @ r)
     lam = 1e-3
@@ -232,7 +235,8 @@ def minimize_reference(
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    model_jac(cand, E, J_c, t)
+                    for _ in model_jac(cand, E, J_c, t):
+                        pass
                     np.subtract(J_c[-1], y, out=r_c)
                     sse_c = float(r_c @ r_c)
                 if math.isfinite(sse_c) and sse_c <= sse:

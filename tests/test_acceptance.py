@@ -381,7 +381,8 @@ def _allocating(kernel):
 
     def fn(theta, E):
         J = np.empty((theta.size, E.size))
-        kernel(theta, E, J, np.empty((5, E.size)))
+        for _ in kernel(theta, E, J, np.empty((5, E.size))):
+            pass
         return J[-1], J.T
 
     return fn

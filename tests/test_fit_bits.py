@@ -174,7 +174,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 def _in_place(kernel, theta, E):
     """The (n, p) view of the (p, n) Jacobian a kernel fills in place."""
     J = np.empty((theta.size, E.size))
-    kernel(theta, E, J, np.empty((5, E.size)))
+    for _ in kernel(theta, E, J, np.empty((5, E.size))):
+        pass
     return J.T
 
 

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from efano import fitter
@@ -290,46 +290,95 @@ class TestFitNoisy:
 
 class TestSweep:
     """A sweep stops at the first block whose running sse passes limit,
-    so a rejected trial does no Gram work past that block."""
+    so a rejected trial does no derivative or Gram work past its
+    values there."""
 
     def sweep(self, limit):
         sizes = []
 
         def kernel(theta, E, J, t):
             sizes.append(E.size)
-            fitter._model_jac_bw(theta, E, J, t)
+            return fitter._model_jac_bw(theta, E, J, t)
 
         # Breit-Wigner values are at most sigma0 = 1, so every sample of
-        # y = 5 adds at least 16 to the sse.
+        # y = 5 adds at least 16 to the sse.  NaN sentinels show what
+        # the sweep leaves unwritten.
         E = np.linspace(-3.0, 3.0, 12)
         y = np.full(12, 5.0)
-        J, t, r = np.empty((3, 4)), np.empty((5, 4)), np.empty(4)
-        blocks = [(E[s : s + 4], y[s : s + 4], J, t, r) for s in range(0, 12, 4)]
-        g, A = np.full(3, np.nan), np.full((3, 3), np.nan)
-        sse = fitter._sweep(kernel, np.zeros(3), blocks, g, A, limit)
-        return sse, sizes, g, A
+        W, t = np.full((4, 4), np.nan), np.empty((5, 4))
+        blocks = [(E[s : s + 4], y[s : s + 4], W[:3], t, W[3], W[..., None])
+                  for s in range(0, 12, 4)]
+        GA = np.full((4, 3, 1), np.nan)
+        sse = fitter._sweep(kernel, np.zeros(3), blocks, GA, limit)
+        return sse, sizes, W[:3], GA
 
     def test_stops_after_the_block_that_passes_limit(self):
-        sse, sizes, g, A = self.sweep(1.0)
+        sse, sizes, J, GA = self.sweep(1.0)
         assert sizes == [4]
         assert sse > 1.0
-        # The stop comes before the block's J @ r and Gram rows.
-        assert np.isnan(g).all() and np.isnan(A).all()
+        # The stop comes after the model values, before the block's
+        # derivative rows and its J J^T and J @ r.
+        assert np.isfinite(J[-1]).all()
+        assert np.isnan(J[:-1]).all()
+        assert np.isnan(GA).all()
 
     def test_unbounded_sweep_sums_every_block(self):
-        sse, sizes, g, A = self.sweep(math.inf)
+        sse, sizes, _, GA = self.sweep(math.inf)
         assert sizes == [4, 4, 4]
-        J = np.empty((3, 12))
-        fitter._model_jac_bw(np.zeros(3), np.linspace(-3.0, 3.0, 12), J, np.empty((5, 12)))
+        E, J = np.linspace(-3.0, 3.0, 12), np.empty((3, 12))
+        for _ in fitter._model_jac_bw(np.zeros(3), E, J, np.empty((5, 12))):
+            pass
         r = J[-1] - 5.0
         assert sse == pytest.approx(r @ r, rel=1e-15)
-        np.testing.assert_allclose(g, J @ r, rtol=1e-14, atol=1e-13)
-        np.testing.assert_allclose(A, J @ J.T, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[3, :, 0], J @ r, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[:3, :, 0], J @ J.T, rtol=1e-14, atol=1e-13)
 
     def test_a_limit_equal_to_the_sse_keeps_every_block(self):
         # An accepted trial's sse may equal the current one.
         sse = self.sweep(math.inf)[0]
         assert self.sweep(sse)[:2] == (sse, [4, 4, 4])
+
+
+class TestStackedGemv:
+    """_sweep takes J J^T and J @ r of a block in one stacked matmul of
+    J against every row of the workspace; numpy runs one gemv per stack
+    entry, so each row must come out as J @ row alone, bit for bit, as
+    the per-row calls gave it.  J @ J.T goes to syrk, which adds in
+    another order."""
+
+    @settings(deadline=None)
+    @given(
+        p=st.sampled_from([3, 4]),
+        width=st.integers(2, fitter._BLOCK),
+        tail=st.floats(0.0, 1.0),
+        scales=st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=4, max_size=4),
+        seed=st.integers(0, 2**32),
+    )
+    def test_each_row_is_its_own_gemv(self, p, width, tail, scales, seed):
+        # A full block, then a tail block of 1 to width - 1 samples in
+        # the same wider workspace.  Each block's "E" is the Jacobian
+        # the stub kernel copies in.
+        m = 1 + int(tail * (width - 2))
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((p, width + m)) * np.array(scales[:p])[:, None]
+        y = rng.standard_normal(width + m) * scales[-1]
+
+        def kernel(theta, E, J, t):
+            J[:] = E
+            yield
+
+        W = np.empty((p + 1, width))
+        blocks = [(rows[:, s : s + n], y[s : s + n], W[:p, :n], None, W[p, :n], W[:, :n, None])
+                  for s, n in ((0, width), (width, m))]
+        sums = []
+        for E, y_blk, J, _, r, _ in blocks:
+            J[:] = E
+            np.subtract(J[-1], y_blk, out=r)
+            sums.append(np.array([J @ row for row in W[:, : r.size]]))
+        want = sums[0] + sums[1]
+        GA = np.empty((p + 1, p, 1))
+        fitter._sweep(kernel, None, blocks, GA, math.inf)
+        assert GA[..., 0].tobytes() == want.tobytes()
 
 
 class TestDampedSolve:

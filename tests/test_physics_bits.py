@@ -1,13 +1,15 @@
 """The physics layers' output, pinned to the bit.
 
 tests/golden/bits_manifest.json holds one sha256 per layer: numkit,
-dipole_ladder, twobody, efimov, profiles and the fitter's initializers.
+dipole_ladder, twobody, efimov, profiles, the fitter's initializers and
+the fitter itself.
 Each hash covers a fixed battery of calls, built below from seeded
 Python random streams, that reaches every branch of the layer: the
 results with every float as float.hex, and every ToolkitError as its
 class name and message.  Any change to a layer's arithmetic, down to
 one rounding, or to the text of one of its errors, names that layer.
-The fits themselves are pinned in tests/golden/fit_reports.json.
+tests/golden/fit_reports.json pins a few fits field by field; the
+fitter layer here covers a wider battery of measured-size curves.
 Regenerate the file (only for a change that is meant to move results)
 with
 
@@ -35,7 +37,7 @@ from efano.dipole_ladder import (
 )
 from efano.efimov import build_efimov_ladder, classify_states_vs_threshold, count_states
 from efano.errors import ToolkitError
-from efano.fitter import initial_guess_breit_wigner, initial_guess_fano
+from efano.fitter import compare_models, initial_guess_breit_wigner, initial_guess_fano
 from efano.numkit import find_root, log_gamma, seeded_gaussian_noise
 from efano.profiles import (
     BreitWignerParameters,
@@ -316,6 +318,34 @@ def _initializers() -> list:
     return out
 
 
+def _fitter() -> list:
+    # compare_models on noisy Fano and Breit-Wigner curves of 100 to
+    # 2000 samples, one block of the fit's sweep each, and on one curve
+    # of 20,000 samples that the sweep takes in three blocks.
+    r = random.Random(7)
+    out = []
+    for i in range(128):
+        e_r = -5.0 + 10.0 * r.random()
+        gamma = _log_uniform(r, -1.3, 0.7)
+        sigma0 = _log_uniform(r, -3, 3)
+        if i % 4 == 3:
+            p = BreitWignerParameters(e_r, gamma, sigma0)
+            lo, hi = -2.0 - 6.0 * r.random(), 2.0 + 6.0 * r.random()
+        else:
+            q = _log_uniform(r, -0.8, 0.7) * _sign(r)
+            p = FanoParameters(e_r, gamma, q, sigma0)
+            lo = min(-q, 1.0 / q) - 2.0 - 4.0 * r.random()
+            hi = max(-q, 1.0 / q) + 2.0 + 4.0 * r.random()
+        grid = np.linspace(e_r + lo * gamma / 2, e_r + hi * gamma / 2,
+                           round(_log_uniform(r, 2, math.log10(2000))))
+        curve = synthesize(p, grid, _log_uniform(r, -2.5, -1.5), r.getrandbits(63))
+        out.append(_call(compare_models, curve))
+    curve = synthesize(FanoParameters(-1.0, 0.6, 2.5, 3.0), np.linspace(-4.0, 3.0, 20_000),
+                       0.01, 20)
+    out.append(_call(compare_models, curve))
+    return out
+
+
 LAYERS = {
     "numkit": _numkit,
     "dipole_ladder": _dipole_ladder,
@@ -323,6 +353,7 @@ LAYERS = {
     "efimov": _efimov,
     "profiles": _profiles,
     "fitter_initializers": _initializers,
+    "fitter": _fitter,
 }
 
 
