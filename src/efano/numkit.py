@@ -1,9 +1,11 @@
-"""Numerical kernels: complex log-gamma, bracketing root finder,
-and a reproducible Gaussian deviate source.
+"""Numerical kernels: complex log-gamma, a safeguarded Newton root
+finder, and a reproducible Gaussian deviate source.
 
 These are deliberately self-contained so the physics modules above them
-have no dependencies beyond numpy, and so their behavior is identical on
-every platform that rounds IEEE-754 doubles correctly.
+have no dependencies beyond numpy.  Their bits are the same on every
+IEEE-754 platform whose C library log returns the same values: IEEE 754
+does not require log to be correctly rounded, and glibc 2.36 misrounds
+0.078% of the noise stream's logs.
 """
 
 from __future__ import annotations
@@ -87,30 +89,34 @@ def log_gamma(z: complex | float) -> complex:
 
 
 def find_root(
-    f: Callable[[float], float],
+    f: Callable[[float], tuple[float, float]],
     lo: float,
     hi: float,
     tol: float,
     *,
     max_iter: int = 200,
 ) -> float:
-    """Locate a root of f in [lo, hi] by Brent's method.
+    """Root of f in [lo, hi] by Newton's method safeguarded by bisection
+    ("rtsafe", Numerical Recipes 3rd ed., section 9.4).
 
-    Requires lo <= hi, tol > 0, and f(lo) * f(hi) <= 0.  An endpoint
-    where f vanishes exactly is returned as the root.  Convergence is
-    declared when the bracket width falls below tol plus a few ulp of
-    the iterate, so a tol at rounding level still terminates.
+    f(x) returns (value, slope).  Requires lo <= hi, tol > 0 and
+    f(lo) * f(hi) <= 0; an endpoint where f vanishes is returned as is.
+    The first iterate is the false-position point of the endpoints.  A
+    Newton step that would leave the bracket, would not halve the step
+    before the last, or meets a zero or non-finite slope is replaced by
+    bisection.  The solve stops once the step falls below tol/2 plus
+    2 ulp(1) times the iterate, so a tol at rounding level terminates; a
+    collapsed bracket returns its end with the smaller |f|.
 
     Raises NoBracketError when the endpoint values do not straddle a
-    sign change (a NaN value never does) and ConvergenceError when
-    max_iter iterations pass without the bracket collapsing.
+    sign change (a NaN value never does) and ConvergenceError after
+    max_iter evaluations past the endpoints.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo <= hi:
         raise DomainError(f"invalid bracket [{lo!r}, {hi!r}]")
     if not tol > 0.0:
         raise DomainError(f"tolerance must be positive, got {tol!r}")
-    fa = f(lo)
-    fb = f(hi)
+    fa, fb = f(lo)[0], f(hi)[0]
     if fa == 0.0:
         return lo
     if fb == 0.0:
@@ -120,52 +126,37 @@ def find_root(
             f"f({lo!r}) = {fa!r} and f({hi!r}) = {fb!r} do not straddle zero"
         )
 
+    # The bracket [a, b] keeps f(a) on the sign of f(lo).
     a, b = lo, hi
-    c, fc = a, fa
-    d = e = b - a
+    abs_fa, abs_fb = abs(fa), abs(fb)
+    x = lo + fa / (fa - fb) * (hi - lo)
+    if not a < x < b:
+        # hi - lo overflowed, or fa / (fa - fb) rounded onto an end.
+        x = 0.5 * a + 0.5 * b
+    dx = dx_old = b - a
     eps = math.ulp(1.0)
     for _ in range(max_iter):
-        if (fb > 0.0) == (fc > 0.0):
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * eps * abs(b) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
+        fx, slope = f(x)
+        if fx == 0.0:
+            return x
+        if (fx < 0.0) == (fa < 0.0):
+            a, abs_fa = x, abs(fx)
         else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += tol1 if xm > 0.0 else -tol1
-        fb = f(b)
-    raise ConvergenceError(
-        f"root finder did not converge within {max_iter} iterations"
-    )
+            b, abs_fb = x, abs(fx)
+        tol1 = 2.0 * eps * abs(x) + 0.5 * tol
+        if slope != 0.0 and math.isfinite(slope):
+            newton = fx / slope
+            if abs(newton) <= tol1:
+                return min(max(x - newton, a), b)
+            if a < x - newton < b and abs(newton) <= 0.5 * abs(dx_old):
+                dx_old, dx = dx, newton
+                x -= newton
+                continue
+        dx_old, dx = dx, 0.5 * b - 0.5 * a
+        if dx <= tol1:
+            return a if abs_fa <= abs_fb else b
+        x = a + dx
+    raise ConvergenceError(f"root finder did not converge within {max_iter} iterations")
 
 
 # SplitMix64 increment and mixing constants (Steele, Lea and Flood's
@@ -216,10 +207,11 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
 
     The stream is SplitMix64 feeding the Marsaglia polar transform,
     both fixed published algorithms using only +, *, sqrt and log, so
-    the same seed yields bit-identical output on every platform and
-    library version.  Equal seeds give equal streams; sigma scales the
-    unit stream exactly.  sigma may be at most the float maximum / 16,
-    which keeps every deviate finite.
+    the same seed yields bit-identical output wherever math.log returns
+    the same values (glibc 2.36 misrounds 0.078% of the accepted s).
+    Equal seeds give equal streams; sigma scales the unit stream exactly.
+    sigma may be at most the float maximum / 16, which keeps every
+    deviate finite.
 
     SplitMix64 is counter-based: its k-th output (k = 1, 2, ...) mixes
     the state seed + k*0x9E3779B97F4A7C15 mod 2^64, with the seed taken
@@ -230,8 +222,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     that order; an odd n drops the last v.  The pairs are drawn in
     blocks of the stream and screened with a mask, keeping their order.
     log(s) is taken with math.log on the accepted values: numpy's
-    vectorised log is not correctly rounded and would change the last
-    bit of some deviates.
+    vectorised log differs from it in the last bit on some of them.
     """
     _check_seed(seed)
     if not isinstance(n, int) or n < 0:

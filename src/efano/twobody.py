@@ -133,7 +133,8 @@ def scattering_length(
 
 
 def _solve(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] to rounding level (find_root's 2-ulp floor).
+    """Root of f in [lo, hi] to rounding level: find_root stops once its
+    step falls below 2 ulp(1) times the root.
 
     When f(lo) and f(hi) do not straddle a sign change (a NaN never
     does) the endpoint with the smaller |f| stands in for the root;
@@ -142,7 +143,7 @@ def _solve(f, lo: float, hi: float) -> float:
     try:
         return find_root(f, lo, hi, sys.float_info.min)
     except NoBracketError:
-        return lo if abs(f(lo)) <= abs(f(hi)) else hi
+        return lo if abs(f(lo)[0]) <= abs(f(hi)[0]) else hi
 
 
 def binding_energy(well: SquareWell) -> float | None:
@@ -166,9 +167,11 @@ def binding_energy(well: SquareWell) -> float | None:
         # x'^2 + y^2 = x0^2 maps x' to y and y to x' alike.
         return math.sqrt(max((x0 - u) * (x0 + u), 0.0))
 
-    def matching(y: float) -> float:
+    def matching(y: float) -> tuple[float, float]:
+        # dx'/dy = -y/x' gives the slope (1 + y) * (sin x' - (y/x') cos x').
         xp = other(y)
-        return xp * math.cos(xp) + y * math.sin(xp)
+        cos, sin = math.cos(xp), math.sin(xp)
+        return xp * cos + y * sin, (1.0 + y) * (sin - y / xp * cos)
 
     y = _solve(matching, other(min(x0, m * math.pi)), other((m - 0.5) * math.pi))
     return -y * y / (2.0 * well.reduced_mass_mu * well.range_Rw**2)
@@ -238,10 +241,13 @@ def tune_to_scattering_length(
         )
     c = 1.0 - t
 
-    def h(x: float) -> float:
+    def h(x: float) -> tuple[float, float]:
+        cos, sin = math.cos(x), math.sin(x)
         if x < 1.0:
-            return _s(x) + t * math.cos(x)
-        return math.sin(x) - c * x * math.cos(x)
+            # S'(x) = sin x - S(x)/x, which is 0 at x = 0.
+            s = _s(x)
+            return s + t * cos, (sin - s / x if x else 0.0) - t * sin
+        return sin - c * x * cos, t * cos + c * x * sin
 
     x = _solve(h, lo, hi)
 

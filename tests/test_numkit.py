@@ -1,10 +1,13 @@
 import cmath
+import decimal
 import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from efano import numkit
 from efano.errors import ConvergenceError, DomainError, GammaPoleError, NoBracketError
@@ -153,59 +156,139 @@ class TestLogGamma:
         assert abs(log_gamma(z) - want) <= 1e-14 * abs(want)
 
 
+def _linear(c):
+    return lambda x: (x - c, 1.0)
+
+
+def _cos(x):
+    return math.cos(x), -math.sin(x)
+
+
 class TestFindRoot:
     def test_cubic(self):
-        root = find_root(lambda x: x**3 - 2.0, 0.0, 2.0, 1e-14)
+        root = find_root(lambda x: (x**3 - 2.0, 3.0 * x * x), 0.0, 2.0, 1e-14)
         assert root == pytest.approx(2.0 ** (1.0 / 3.0), rel=1e-13)
 
     def test_cosine(self):
-        root = find_root(math.cos, 1.0, 2.0, 1e-14)
+        root = find_root(_cos, 1.0, 2.0, 1e-14)
         assert root == pytest.approx(math.pi / 2.0, rel=1e-13)
 
     def test_exact_zero_at_endpoint(self):
-        assert find_root(lambda x: x - 1.0, 1.0, 3.0, 1e-12) == 1.0
-        assert find_root(lambda x: x - 3.0, 1.0, 3.0, 1e-12) == 3.0
+        assert find_root(_linear(1.0), 1.0, 3.0, 1e-12) == 1.0
+        assert find_root(_linear(3.0), 1.0, 3.0, 1e-12) == 3.0
 
     def test_steep_and_flat_mix(self):
-        f = lambda x: math.tanh(50.0 * (x - 0.7)) + 0.1 * (x - 0.7)
+        def f(x):
+            u = 50.0 * (x - 0.7)
+            return math.tanh(u) + 0.1 * (x - 0.7), 50.0 / math.cosh(u) ** 2 + 0.1
+
         root = find_root(f, -3.0, 5.0, 1e-13)
-        assert abs(f(root)) < 1e-10
+        assert abs(f(root)[0]) < 1e-10
 
     def test_no_sign_change_raises(self):
         with pytest.raises(NoBracketError):
-            find_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
+            find_root(lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 1e-12)
 
     def test_point_bracket(self):
-        assert find_root(lambda x: x - 2.0, 2.0, 2.0, 1e-12) == 2.0
+        assert find_root(_linear(2.0), 2.0, 2.0, 1e-12) == 2.0
         with pytest.raises(NoBracketError):
-            find_root(lambda x: x, 2.0, 2.0, 1e-12)
+            find_root(_linear(0.0), 2.0, 2.0, 1e-12)
 
     @pytest.mark.parametrize("nan_at", [1.0, 3.0])
     def test_nan_endpoint_raises(self, nan_at):
-        f = lambda x: math.nan if x == nan_at else x - 2.0
+        f = lambda x: (math.nan if x == nan_at else x - 2.0, 1.0)
         with pytest.raises(NoBracketError):
             find_root(f, 1.0, 3.0, 1e-12)
 
     def test_invalid_bracket_raises(self):
         with pytest.raises(DomainError):
-            find_root(lambda x: x, 2.0, 1.0, 1e-12)
+            find_root(_linear(0.0), 2.0, 1.0, 1e-12)
         with pytest.raises(DomainError):
-            find_root(lambda x: x, -1.0, 1.0, 0.0)
+            find_root(_linear(0.0), -1.0, 1.0, 0.0)
 
     def test_iteration_cap_reported(self):
-        # A sign step defeats the interpolation steps, so the solver
-        # must bisect; a wide bracket and tiny tol then need far more
-        # than ten halvings.
-        step = lambda x: 1.0 if x >= math.pi / 10.0 else -1.0
+        # A sign step has slope 0, so the solver must bisect; a wide
+        # bracket and tiny tol then need far more than ten halvings.
+        step = lambda x: (1.0 if x >= math.pi / 10.0 else -1.0, 0.0)
         with pytest.raises(ConvergenceError) as info:
             find_root(step, 0.0, 4.0, 1e-15, max_iter=10)
         assert "10" in str(info.value)
+        # Newton needs more than three evaluations for cos on [0, 3].
+        with pytest.raises(ConvergenceError):
+            find_root(_cos, 0.0, 3.0, 1e-300, max_iter=3)
 
     def test_deterministic(self):
-        f = lambda x: math.sin(3.0 * x) - 0.2 * x
+        f = lambda x: (math.sin(3.0 * x) - 0.2 * x, 3.0 * math.cos(3.0 * x) - 0.2)
         a = find_root(f, 0.5, 1.5, 1e-13)
         b = find_root(f, 0.5, 1.5, 1e-13)
         assert a == b
+
+
+# Smooth functions with a known root r in [lo, hi]: (f, r, lo, hi).
+def _cube(c, lo, hi):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        r = float(decimal.Decimal(c) ** (decimal.Decimal(1) / 3))
+    return lambda x: (x * x * x - c, 3.0 * x * x), r, lo, hi
+
+
+def _line(k, r, lo, hi):
+    return lambda x: (k * (x - r), k), r, lo, hi
+
+
+def _sine(r, lo, hi):
+    # sin(x - r) keeps one root in brackets narrower than 2*pi around r.
+    return lambda x: (math.sin(x - r), math.cos(x - r)), r, lo, hi
+
+
+POSITIVE = st.floats(1e-3, 1e3)
+SMOOTH = st.one_of(
+    st.builds(_cube, st.floats(1e-6, 1e6), st.just(0.0), st.just(200.0)),
+    st.builds(
+        lambda k, r, w, u: _line(k, r, r - w * u, r + w * (1.0 - u)),
+        st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6),
+        st.floats(-1e3, 1e3),
+        POSITIVE,
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(
+        lambda r, u: _sine(r, r - 3.0 * u, r + 3.0 * (1.0 - u)),
+        st.floats(-1e3, 1e3),
+        st.floats(0.0, 1.0),
+    ),
+)
+
+
+class TestFindRootProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(SMOOTH, st.sampled_from([1e-300, 1e-12, 1e-6]))
+    def test_lands_within_4_ulp_plus_tol_of_the_root(self, case, tol):
+        f, r, lo, hi = case
+        assume(lo <= r <= hi)
+        root = find_root(f, lo, hi, tol)
+        assert lo <= root <= hi
+        assert abs(root - r) <= 4.0 * math.ulp(r) + tol
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.floats(-10.0, 10.0), POSITIVE, st.floats(0.0, 1.0),
+           st.sampled_from([0.0, math.nan]))
+    def test_a_useless_slope_still_converges_by_bisection(self, r, w, u, slope):
+        lo, hi = r - w * u, r + w * (1.0 - u)
+        root = find_root(lambda x: (math.atan(x - r), slope), lo, hi, 1e-12)
+        assert lo <= root <= hi
+        assert abs(root - r) <= 4.0 * math.ulp(r) + 1e-12
+
+    @given(st.floats(-1e3, 1e3), POSITIVE, st.booleans())
+    def test_exact_endpoint_root_is_returned_as_is(self, r, w, at_lo):
+        lo, hi = (r, r + w) if at_lo else (r - w, r)
+        assert find_root(lambda x: (x - r, 1.0), lo, hi, 1e-12) == r
+
+    @given(st.floats(-1e3, 1e3), POSITIVE, st.booleans())
+    def test_nan_endpoint_raises_no_bracket(self, r, w, nan_at_lo):
+        lo, hi = r - w, r + w
+        nan_at = lo if nan_at_lo else hi
+        with pytest.raises(NoBracketError):
+            find_root(lambda x: (math.nan if x == nan_at else x - r, 1.0), lo, hi, 1e-12)
 
 
 NOISE_SEEDS = [0, -1, (1 << 63) - 1, (1 << 64) - 1, (1 << 64) + 5]

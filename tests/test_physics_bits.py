@@ -110,12 +110,16 @@ def _numkit() -> list:
         out.append(_call(log_gamma, x))
     for z in (complex(-65536.5, 1.0), complex(-65537.5, 1.0), complex(-1e6, -3.0)):
         out.append(_call(log_gamma, z))
-    # Brent on a few smooth functions, and an unbracketed one.
+    # Safeguarded Newton on a few smooth functions, on a zero slope that
+    # forces bisection, and on an unbracketed one.
+    cos = lambda x: (math.cos(x), -math.sin(x))
     for c in (0.1, 2.0, 1e-8, 1e8):
-        out.append(_call(find_root, lambda x, c=c: x * x * x - c, 0.0, max(2.0, c), 1e-300))
-    out.append(_call(find_root, math.cos, 0.0, 3.0, 1e-6))
-    out.append(_call(find_root, lambda x: x * x + 1.0, -1.0, 1.0, 1e-12))
-    out.append(_call(find_root, math.cos, 0.0, 3.0, 1e-300, max_iter=3))
+        cube = lambda x, c=c: (x * x * x - c, 3.0 * x * x)
+        out.append(_call(find_root, cube, 0.0, max(2.0, c), 1e-300))
+    out.append(_call(find_root, cos, 0.0, 3.0, 1e-6))
+    out.append(_call(find_root, lambda x: (math.cos(x), 0.0), 0.0, 3.0, 1e-300))
+    out.append(_call(find_root, lambda x: (x * x + 1.0, 2.0 * x), -1.0, 1.0, 1e-12))
+    out.append(_call(find_root, cos, 0.0, 3.0, 1e-300, max_iter=3))
     # Noise streams: seeds past 2**64 and below 0, odd and even lengths.
     for seed in (0, 1, 7, 2**32 + 5, 2**64 + 3, -1, 12345678901234567):
         for n in (0, 1, 2, 7, 1000, 4099):

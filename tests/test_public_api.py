@@ -96,7 +96,7 @@ def _fit(curve_args, model, guess):
 CALLS = {
     "log_gamma": (efano.log_gamma, st.tuples(FLOATS | st.builds(complex, FLOATS, FLOATS))),
     "find_root": (
-        lambda c, lo, hi, tol: efano.find_root(lambda x: x - c, lo, hi, tol),
+        lambda c, lo, hi, tol: efano.find_root(lambda x: (x - c, 1.0), lo, hi, tol),
         st.tuples(FLOATS, FLOATS, FLOATS, FLOATS),
     ),
     "seeded_gaussian_noise": (
