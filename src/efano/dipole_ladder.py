@@ -35,6 +35,8 @@ __all__ = [
 
 CRITICAL_STRENGTH = 0.25
 
+_TINY = sys.float_info.min  # the smallest positive normal float
+
 
 def alpha_from_strength(strength_a: float) -> float:
     """Map the coupling a to alpha = sqrt(a - 1/4).
@@ -102,7 +104,7 @@ def _scaled_exp(c: float, x: float) -> float:
     """c * exp(x), which may be normal where exp(x) alone is subnormal
     or zero; exp(x) is then taken as two normal halves."""
     e = math.exp(x)
-    if e < sys.float_info.min:
+    if e < _TINY:
         half = math.exp(0.5 * x)
         return c * half * half
     return c * e
@@ -154,31 +156,16 @@ class BoundLadder:
         return math.exp(-2.0 * math.pi / self.alpha)
 
 
-def _take_levels(levels) -> tuple[list, int | None]:
-    """Collect a ladder's entries from (energy, entry) pairs, deepest first.
-
-    The ladder stops before the first level whose energy is subnormal
-    or zero, and that level's index is returned as truncated_at (None
-    when every level is kept).  An energy that is not finite, or one
-    that is not strictly shallower than the level before it, raises
-    DomainError: the ladder's geometric ratio no longer survives
-    rounding, so no faithful tower exists.
-    """
-    entries: list = []
-    prev = -math.inf
-    for n, (energy, entry) in enumerate(levels):
-        if abs(energy) < sys.float_info.min:
-            return entries, n
-        if not math.isfinite(energy):
-            raise DomainError(f"level {n} energy {energy!r} is not finite")
-        if not energy > prev:
-            raise DomainError(
-                f"level {n} energy {energy!r} is not shallower than level "
-                f"{n - 1} energy {prev!r}; the ladder ratio rounds to 1"
-            )
-        entries.append(entry)
-        prev = energy
-    return entries, None
+def _level_error(n: int, energy: float, prev: float) -> DomainError:
+    """DomainError for level n, whose energy is not finite or not strictly
+    shallower than prev, the level before it: the ladder's geometric ratio
+    no longer survives rounding, so no faithful tower exists."""
+    if not math.isfinite(energy):
+        return DomainError(f"level {n} energy {energy!r} is not finite")
+    return DomainError(
+        f"level {n} energy {energy!r} is not shallower than level "
+        f"{n - 1} energy {prev!r}; the ladder ratio rounds to 1"
+    )
 
 
 def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder:
@@ -186,24 +173,24 @@ def build_ladder(alpha: float, n_max: int, *, scale: float = 2.0) -> BoundLadder
 
     Each kappa comes from the closed form in kappa_n, with arg Gamma
     computed once per ladder, so consecutive energies keep the
-    geometric ratio exp(-2*pi/alpha) to rounding level.  Levels whose
-    |epsilon| would land below the normal float range are dropped
-    rather than returned as denormal noise, and the first dropped index
-    is reported as truncated_at.  An alpha so large
-    that the energies overflow or stop shrinking raises DomainError.
+    geometric ratio exp(-2*pi/alpha) to rounding level.  The ladder stops
+    before its first subnormal or zero energy, reported as truncated_at,
+    and evaluates no level past it.  An energy that is not finite, or not
+    strictly shallower than the level before it, raises DomainError.
     """
     arg_gamma = _checked_arg_gamma(alpha, n_max, scale, "n_max")
-
-    def levels():
-        for n in range(n_max + 1):
-            kappa = _kappa(alpha, arg_gamma, n, scale)
-            epsilon = -0.5 * kappa * kappa
-            yield epsilon, LadderEntry(n=n, kappa=kappa, epsilon=epsilon)
-
-    entries, truncated_at = _take_levels(levels())
-    return BoundLadder(
-        alpha=alpha, scale=scale, entries=tuple(entries), truncated_at=truncated_at
-    )
+    entries = []
+    prev = -math.inf
+    for n in range(n_max + 1):
+        kappa = _kappa(alpha, arg_gamma, n, scale)
+        epsilon = -0.5 * kappa * kappa
+        if abs(epsilon) < _TINY:
+            return BoundLadder(alpha, scale, tuple(entries), n)
+        if not prev < epsilon < math.inf:
+            raise _level_error(n, epsilon, prev)
+        entries.append(LadderEntry(n, kappa, epsilon))
+        prev = epsilon
+    return BoundLadder(alpha, scale, tuple(entries))
 
 
 def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[float]:
@@ -211,8 +198,9 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
 
     ground_energy must be negative (a binding energy) and count a
     nonnegative int.  The tower stops before its first subnormal or
-    zero energy, so it can hold fewer than count levels; a ratio that
-    rounds to 1 raises DomainError, as in build_ladder.
+    zero energy, so it can hold fewer than count levels, and evaluates no
+    level past it; an energy that is not finite, or not strictly shallower
+    than the level before it, raises DomainError, as in build_ladder.
     """
     require_positive("alpha", alpha)
     if not (math.isfinite(ground_energy) and ground_energy < 0.0):
@@ -224,5 +212,14 @@ def geometric_energies(ground_energy: float, alpha: float, count: int) -> list[f
     # Below alpha ~ 3.5e-308 the step would be -inf, and level 0
     # exp(-inf * 0) = nan; the float maximum keeps level 0 the ground.
     step = max(-2.0 * math.pi / alpha, -sys.float_info.max)
-    energies = (_scaled_exp(ground_energy, step * n) for n in range(count))
-    return _take_levels((e, e) for e in energies)[0]
+    energies = []
+    prev = -math.inf
+    for n in range(count):
+        energy = _scaled_exp(ground_energy, step * n)
+        if abs(energy) < _TINY:
+            break
+        if not prev < energy < math.inf:
+            raise _level_error(n, energy, prev)
+        energies.append(energy)
+        prev = energy
+    return energies

@@ -104,12 +104,8 @@ def build_efimov_ladder(
     if not isinstance(count, int) or count < 1:
         raise DomainError(f"count must be an int >= 1, got {count!r}")
     energies = geometric_energies(ground_energy, alpha_eff, count)
-    return EfimovLadder(
-        alpha_eff=alpha_eff,
-        ground_energy=ground_energy,
-        entries=tuple(enumerate(energies)),
-        truncated_at=len(energies) if len(energies) < count else None,
-    )
+    truncated_at = len(energies) if len(energies) < count else None
+    return EfimovLadder(alpha_eff, ground_energy, tuple(enumerate(energies)), truncated_at)
 
 
 @dataclass(frozen=True)
@@ -141,6 +137,8 @@ def classify_states_vs_threshold(
             f"two-body threshold must be finite and negative, got "
             f"{two_body_threshold!r}"
         )
-    bound = tuple(e for e in ladder.entries if e[1] <= two_body_threshold)
-    embedded = tuple(e for e in ladder.entries if e[1] > two_body_threshold)
-    return ThresholdPartition(bound=bound, embedded=embedded)
+    entries = ladder.entries
+    return ThresholdPartition(
+        tuple([e for e in entries if e[1] <= two_body_threshold]),
+        tuple([e for e in entries if e[1] > two_body_threshold]),
+    )

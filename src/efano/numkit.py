@@ -126,9 +126,8 @@ def find_root(
             f"f({lo!r}) = {fa!r} and f({hi!r}) = {fb!r} do not straddle zero"
         )
 
-    # The bracket [a, b] keeps f(a) on the sign of f(lo).
+    # The bracket [a, b] keeps fa = f(a) on the sign of f(lo), and fb = f(b).
     a, b = lo, hi
-    abs_fa, abs_fb = abs(fa), abs(fb)
     x = lo + fa / (fa - fb) * (hi - lo)
     if not a < x < b:
         # hi - lo overflowed, or fa / (fa - fb) rounded onto an end.
@@ -140,9 +139,9 @@ def find_root(
         if fx == 0.0:
             return x
         if (fx < 0.0) == (fa < 0.0):
-            a, abs_fa = x, abs(fx)
+            a, fa = x, fx
         else:
-            b, abs_fb = x, abs(fx)
+            b, fb = x, fx
         tol1 = 2.0 * eps * abs(x) + 0.5 * tol
         if slope != 0.0 and math.isfinite(slope):
             newton = fx / slope
@@ -154,7 +153,7 @@ def find_root(
                 continue
         dx_old, dx = dx, 0.5 * b - 0.5 * a
         if dx <= tol1:
-            return a if abs_fa <= abs_fb else b
+            return a if abs(fa) <= abs(fb) else b
         x = a + dx
     raise ConvergenceError(f"root finder did not converge within {max_iter} iterations")
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import ConvergenceError, DomainError, NoBracketError, UnreachableTargetError
 from .errors import require_positive
@@ -169,7 +169,7 @@ def binding_energy(well: SquareWell) -> float | None:
 
     def matching(y: float) -> tuple[float, float]:
         # dx'/dy = -y/x' gives the slope (1 + y) * (sin x' - (y/x') cos x').
-        xp = other(y)
+        xp = math.sqrt(max((x0 - y) * (x0 + y), 0.0))
         cos, sin = math.cos(xp), math.sin(xp)
         return xp * cos + y * sin, (1.0 + y) * (sin - y / xp * cos)
 
@@ -280,7 +280,7 @@ def tune_to_scattering_length(
             f"the subnormal float {depth!r}, below {sys.float_info.min!r}; "
             f"no normal float64 depth reaches this target"
         )
-    tuned = replace(template, depth_V0=depth)
+    tuned = SquareWell(depth, rw, template.reduced_mass_mu)
     achieved = _a_of_x(_strength(tuned), rw)
     if abs(achieved - target_a) > 1e-9 * abs(target_a):
         raise ConvergenceError(

@@ -252,6 +252,24 @@ class TestBuildLadder:
         assert len(build_ladder(1.0, 40).entries) == 41
         assert len(calls) == 1
 
+    def test_no_level_past_truncation_is_evaluated(self, monkeypatch):
+        # One _scaled_exp per level: the level that truncates is the
+        # last one evaluated, however many levels were asked for.
+        calls = []
+        scaled_exp = dipole_ladder._scaled_exp
+
+        def counting(c, x):
+            calls.append(x)
+            return scaled_exp(c, x)
+
+        monkeypatch.setattr(dipole_ladder, "_scaled_exp", counting)
+        ladder = build_ladder(1.0, 10**6)
+        assert ladder.truncated_at == 113
+        assert len(calls) == ladder.truncated_at + 1
+        calls.clear()
+        tower = geometric_energies(-1.0, 1.0, 10**6)
+        assert len(calls) == len(tower) + 1
+
     @pytest.mark.parametrize("scale", [0.0, -1.0, math.inf, math.nan])
     def test_bad_scale(self, scale):
         with pytest.raises(DomainError):

@@ -181,6 +181,25 @@ class TestThresholdClassification:
         assert part.bound == ()
         assert part.embedded == ladder.entries
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        threshold=st.floats(max_value=0.0, exclude_max=True, allow_infinity=False),
+        data=st.data(),
+    )
+    @example(threshold=-1e-3, data=None)
+    def test_matches_two_filters_in_any_order(self, threshold, data):
+        # A hand-built ladder need not be ordered; entries exactly at the
+        # threshold are drawn often.
+        if data is None:
+            energies = [-1e-4, -1e-3, -1.0, -1e-3, -0.5e-3]
+            entries = tuple(enumerate(energies))[::-1]
+        else:
+            energy = st.just(threshold) | st.floats()
+            entries = tuple(data.draw(st.lists(st.tuples(st.integers(0, 60), energy))))
+        part = classify_states_vs_threshold(EfimovLadder(1.0, -1.0, entries), threshold)
+        assert part.bound == tuple(e for e in entries if e[1] <= threshold)
+        assert part.embedded == tuple(e for e in entries if e[1] > threshold)
+
     @pytest.mark.parametrize("threshold", [0.0, 1.0, math.nan, -math.inf])
     def test_bad_threshold(self, threshold):
         ladder = build_efimov_ladder(1.0, -1.0, 2)
