@@ -18,12 +18,14 @@ _BLOCK samples, in a fixed order.  Per block the workspace W holds a
 values f as its last row (d f / d log scale = f), then the residual r.
 The model kernel writes f first, and a trial's sweep stops at the block
 where its sse passes the current one, before any derivative row.
-Otherwise the kernel finishes J, and one stacked gemv call of J against
-the rows of W adds J J^T and J r to running totals while the block is
-still in cache.  The workspace is the same few rows of one block
-whatever the size of the data.  Every BLAS sum runs over one block at
-most, shorter than the dot products OpenBLAS splits across its threads,
-so the fit's bits do not depend on the BLAS thread count.
+Otherwise the kernel finishes J, and one gemm of J against W^T adds
+J J^T and J r to running totals while the block is still in cache.
+The workspace is the same few rows of one block whatever the size of
+the data.  Every BLAS sum runs over one block at most, shorter than the
+dot products OpenBLAS splits across its threads, so the fit's bits do
+not depend on the BLAS thread count.  The kernels fix no association
+order: their contract is accuracy, each entry within a few ulp of the
+terms it is computed from.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -114,43 +116,43 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
     # instead of creeping along a curved trade-off with sigma0.
     # A generator: writes the model values f into J[3] (4, n) and
     # yields, then writes the derivative rows, using the (5, n) scratch
-    # block t.  The association order of every product and quotient is
-    # fixed: it sets the bits.
+    # block t.  With eps = (E - E_r)*2/Gamma, iD = 1/(1 + eps^2) and
+    # u = eps + q, f = u^2*iD*peak/big and, with g = u*(1 - q*eps)*iD,
+    # d f/d q = g*2*peak/big^2 and -d f/d eps = g*iD*2*peak/big: one
+    # array reciprocal and no array division.
     E_r, lgam, q, lpeak = theta
     gamma = math.exp(lgam)
     peak = math.exp(lpeak)
     big = 1.0 + q * q
-    eps, denom, tmp, denom_big, core = t
-    np.divide(np.subtract(E, E_r, out=eps), 0.5 * gamma, out=eps)
-    np.add(np.multiply(eps, eps, out=denom), 1.0, out=denom)
-    u = np.add(eps, q, out=tmp)
-    np.multiply(denom, big, out=denom_big)
-    f = np.multiply(np.multiply(u, peak, out=J[3]), u, out=J[3])
-    np.divide(f, denom_big, out=f)
+    eps, iD, u, g = t[:4]
+    np.multiply(np.subtract(E, E_r, out=eps), 2.0 / gamma, out=eps)
+    np.reciprocal(np.add(np.multiply(eps, eps, out=iD), 1.0, out=iD), out=iD)
+    np.add(eps, q, out=u)
+    f = np.multiply(np.multiply(u, u, out=J[3]), iD, out=J[3])
+    np.multiply(f, peak / big, out=f)
     yield
-    np.multiply(u, 2.0 * peak, out=core)
-    np.subtract(1.0, np.multiply(eps, q, out=tmp), out=tmp)
-    np.multiply(core, tmp, out=core)
-    np.divide(core, np.multiply(denom, big * big, out=tmp), out=J[2])
-    dfde = np.divide(core, np.multiply(denom_big, denom, out=denom_big), out=core)
-    np.multiply(dfde, -2.0 / gamma, out=J[0])
-    np.multiply(np.negative(eps, out=eps), dfde, out=J[1])
+    np.subtract(1.0, np.multiply(eps, q, out=g), out=g)
+    np.multiply(np.multiply(g, u, out=g), iD, out=g)
+    np.multiply(g, 2.0 * peak / (big * big), out=J[2])
+    m = np.multiply(np.multiply(g, iD, out=g), -2.0 * peak / big, out=g)  # -d f/d eps
+    np.multiply(m, 2.0 / gamma, out=J[0])
+    np.multiply(eps, m, out=J[1])
 
 
 def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
-    # Same contract as _model_jac_fano, with J of shape (3, n).
+    # Same contract as _model_jac_fano, with J of shape (3, n): f is
+    # sigma0/D with D = 1 + eps^2, and -d f/d eps = 2*eps*f/D.
     E_r, lgam, lsig = theta
     gamma = math.exp(lgam)
     sigma0 = math.exp(lsig)
-    eps, denom, dfde, tmp = t[:4]
-    np.divide(np.subtract(E, E_r, out=eps), 0.5 * gamma, out=eps)
-    np.add(np.multiply(eps, eps, out=denom), 1.0, out=denom)
-    np.divide(sigma0, denom, out=J[2])
+    eps, D, h = t[:3]
+    np.multiply(np.subtract(E, E_r, out=eps), 2.0 / gamma, out=eps)
+    np.add(np.multiply(eps, eps, out=D), 1.0, out=D)
+    f = np.divide(sigma0, D, out=J[2])
     yield
-    np.multiply(np.multiply(eps, -2.0, out=dfde), sigma0, out=dfde)
-    np.divide(dfde, np.multiply(denom, denom, out=tmp), out=dfde)
-    np.multiply(dfde, -2.0 / gamma, out=J[0])
-    np.multiply(np.negative(eps, out=eps), dfde, out=J[1])
+    np.divide(np.multiply(eps, f, out=h), D, out=h)  # -d f/d eps / 2
+    np.multiply(h, 4.0 / gamma, out=J[0])
+    np.multiply(np.multiply(eps, h, out=J[1]), 2.0, out=J[1])
 
 
 def _sweep(
@@ -162,15 +164,15 @@ def _sweep(
     workspace views the block carries, and its r.r is added to the sse.
     Partial sums of squares only grow, so once the sse passes limit or
     is NaN the sweep returns it at once, before the block's derivative
-    rows, leaving GA partial.  Otherwise one stacked matmul of the
-    block's J against its (p + 1, m, 1) view W (J, then r) adds J J^T
-    and J @ r to GA: rows 0..p-1 are the Gram matrix, row p is g.
-    numpy runs one gemv per stack entry, as for J @ r alone; J @ J.T
-    would go to syrk, up to 2.4x slower at 10^5 samples.  The first
-    block writes GA, so that a one-block sum is its own BLAS result.
+    rows, leaving GA partial.  Otherwise one 2-D matmul of the block's
+    J against its (m, p + 1) view Wt = [J; r]^T adds J J^T and J @ r to
+    the (p, p + 1) GA: columns 0..p-1 are the Gram matrix, column p is
+    g.  Both operands are strided views that BLAS reads in place, so
+    the product copies nothing.  The first block writes GA, so that a
+    one-block sum is its own BLAS result.
     """
     sse = 0.0
-    for k, (E, y, J, t, r, W) in enumerate(blocks):
+    for k, (E, y, J, t, r, Wt) in enumerate(blocks):
         kernel = model_jac(theta, E, J, t)
         next(kernel)
         np.subtract(J[-1], y, out=r)
@@ -179,9 +181,9 @@ def _sweep(
             return sse
         next(kernel, None)  # the derivative rows
         if k == 0:
-            np.matmul(J, W, out=GA)
+            np.matmul(J, Wt, out=GA)
         else:
-            GA += np.matmul(J, W)
+            GA += np.matmul(J, Wt)
     return sse
 
 
@@ -219,13 +221,13 @@ def _minimize(
     for s in range(0, n, width):
         m = min(width, n - s)
         Wm = W[:, :m]
-        blocks.append((E[s : s + m], y[s : s + m], Wm[:p], t[:, :m], Wm[p], Wm[..., None]))
-    GA, GA_c = np.empty((2, p + 1, p, 1))
+        blocks.append((E[s : s + m], y[s : s + m], Wm[:p], t[:, :m], Wm[p], Wm.T))
+    GA, GA_c = np.empty((2, p, p + 1))
     damping = np.zeros((p, p))
     sse = _sweep(model_jac, theta, blocks, GA, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
-        A, g = GA[:p, :, 0], GA[p, :, 0]
+        A, g = GA[:, :p], GA[:, p]
         diag = A.diagonal().tolist()
         grad = g.tolist()
         if not all(map(math.isfinite, [sse, *grad, *diag])):

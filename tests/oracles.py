@@ -21,19 +21,20 @@ vectorised: one Python-int state stepped per draw, one pair at a time.
 The half-crossing reference is the sample-by-sample scan the fitter's
 initializers used to read a feature's width before it was vectorised.
 
-The model/Jacobian references are the fitter's kernels as they were
-before they wrote into a per-fit workspace: each call allocates f and
-J afresh and returns (f, J).  They define the fit bits the in-place
-kernels must reproduce.
+The Fano model/Jacobian reference is the fitter's kernel as it was
+before it wrote into a per-fit workspace: each call allocates f and J
+afresh and returns (f, J), evaluating the profile with array
+divisions.  It marks where the model overflows at the edge of the
+parameter clamp.
 
 The minimizer reference is the fitter's Levenberg-Marquardt loop as it
 was before it swept the data in blocks: whole-array Jacobians and
-residuals for the current and the trial point, with the sse and the
-gradient each taken in one BLAS call over all n samples and the Gram
-matrix in one gemv per row.  It runs the fitter's kernels, which are
-generators, to completion at every point.  For n up to one block it
-defines the fit bits; beyond that the blocked sums may differ from its
-single-call ones in the last bits.
+residuals for the current and the trial point, with the sse taken in
+one BLAS call over all n samples, and the Gram matrix and the gradient
+in one gemm of J against [J; r]^T.  It runs the fitter's kernels,
+which are generators, to completion at every point.  For n up to one
+block it defines the fit bits; beyond that the blocked sums may differ
+from its single-call ones in the last bits.
 """
 
 from __future__ import annotations
@@ -167,21 +168,6 @@ def model_jac_fano_reference(theta: np.ndarray, E: np.ndarray):
     return f, J
 
 
-def model_jac_bw_reference(theta: np.ndarray, E: np.ndarray):
-    E_r, lgam, lsig = theta
-    gamma = math.exp(lgam)
-    sigma0 = math.exp(lsig)
-    eps = (E - E_r) / (0.5 * gamma)
-    denom = 1.0 + eps * eps
-    f = sigma0 / denom
-    dfde = -2.0 * eps * sigma0 / (denom * denom)
-    J = np.empty((E.size, 3))
-    J[:, 0] = dfde * (-2.0 / gamma)
-    J[:, 1] = -eps * dfde
-    J[:, 2] = f
-    return f, J
-
-
 def minimize_reference(
     model_jac: Callable,
     bound: np.ndarray,
@@ -198,24 +184,21 @@ def minimize_reference(
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
     p = theta.size
-    J, J_c = np.empty((2, p, E.size))
-    r, r_c = np.empty((2, E.size))
+    W, W_c = np.empty((2, p + 1, E.size))
     t = np.empty((5, E.size))
-    A = np.empty((p, p))
-    for _ in model_jac(theta, E, J, t):
+    for _ in model_jac(theta, E, W[:p], t):
         pass
-    np.subtract(J[-1], y, out=r)
-    sse = float(r @ r)
+    np.subtract(W[p - 1], y, out=W[p])
+    sse = float(W[p] @ W[p])
     lam = 1e-3
     iterations = 0
     converged = False
     for it in range(1, MAX_ITERATIONS + 1):
         iterations = it
-        grad = 2.0 * (J @ r)
-        # The Gram matrix row by row, one gemv each: numpy sends J @ J.T
-        # to syrk, up to 2.4x slower at 10^5 samples.
-        for j in range(p):
-            np.matmul(J, J[j], out=A[j])
+        # The Gram matrix and J @ r from one gemm of J against [J; r]^T.
+        GA = W[:p] @ W.T
+        A = GA[:, :p]
+        grad = 2.0 * GA[:, p]
         diag = np.diag(A).copy()
         # |grad_j| / (2 |r| |J_j|) is the cosine between r and row j.
         # Unsquared, so that no scale of the data overflows the test.
@@ -235,14 +218,14 @@ def minimize_reference(
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for _ in model_jac(cand, E, J_c, t):
+                    for _ in model_jac(cand, E, W_c[:p], t):
                         pass
-                    np.subtract(J_c[-1], y, out=r_c)
-                    sse_c = float(r_c @ r_c)
+                    np.subtract(W_c[p - 1], y, out=W_c[p])
+                    sse_c = float(W_c[p] @ W_c[p])
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
-                    J, J_c, r, r_c = J_c, J, r_c, r
+                    W, W_c = W_c, W
                     lam = max(lam / 8.0, 1e-12)
                     accepted = True
                     break

@@ -12,11 +12,12 @@ The golden check also runs in subprocesses under one and two BLAS
 threads: the fit sweeps the data in blocks small enough that no BLAS
 call splits its sums across threads, so the bits must not move.
 
-The kernel test checks the in-place model/Jacobian kernels against the
-allocating ones in tests/oracles.py, which defined the fit bits before
-the per-fit workspace.  The sweep tests check fit against the
-whole-array minimizer in tests/oracles.py: bit for bit up to one block
-of samples, to 1e-13 in the sse beyond it.
+The kernel tests check f and every Jacobian row of each model against
+40-digit mpmath, to a few ulp of the terms each entry sums, and at the
+overflow edge against the allocating kernel in tests/oracles.py.  The
+sweep tests check fit against the whole-array minimizer in
+tests/oracles.py: bit for bit up to one block of samples, to 1e-13 in
+the sse beyond it.
 """
 
 import json
@@ -46,7 +47,7 @@ from efano.fitter import (
 )
 from efano.profiles import BreitWignerParameters, FanoParameters, synthesize
 
-from oracles import minimize_reference, model_jac_bw_reference, model_jac_fano_reference
+from oracles import minimize_reference, model_jac_fano_reference
 
 TESTS = pathlib.Path(__file__).parent
 GOLDEN = TESTS / "golden" / "fit_reports.json"
@@ -154,62 +155,114 @@ def test_golden_bits_whatever_the_blas_thread_count(threads):
     assert json.loads(proc.stdout) == []
 
 
-_LOG = st.floats(-700.0, 700.0)
-_E_R = st.floats(-1e3, 1e3)
-_Q = st.floats(-Q_CAP, Q_CAP)
+# The kernels' accuracy contract is drawn on a domain where no
+# intermediate leaves the normal range: E_r, the grid start and q are 0
+# or at least 1e-3 in magnitude, |log Gamma| <= 50 and the log scale is
+# within 200 of 0.  |eps| then stays below ~1e27 on either side.
+_MAG = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
+_Q_MAG = st.just(0.0) | st.floats(1e-3, Q_CAP) | st.floats(-Q_CAP, -1e-3)
+_LGAM = st.floats(-50.0, 50.0)
+_LSCALE = st.floats(-200.0, 200.0)
+# Bound on each entry's error, in units of 2^-52 of the size of the
+# terms it is computed from (measured worst: 4.6).
+_ULPS = 8
 
 
 @st.composite
 def _grids(draw):
-    lo = draw(st.floats(-1e3, 1e3))
+    lo = draw(_MAG)
     span = draw(st.floats(1e-6, 1e4))
-    n = draw(st.integers(1, 300))
-    return np.linspace(lo, lo + span, n)
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    return a.shape == b.shape and a.tobytes() == b.tobytes()
+    return np.linspace(lo, lo + span, draw(st.integers(1, 64)))
 
 
 def _in_place(kernel, theta, E):
-    """The (n, p) view of the (p, n) Jacobian a kernel fills in place."""
+    """The (p, n) Jacobian a kernel fills in place, f as its last row."""
     J = np.empty((theta.size, E.size))
     for _ in kernel(theta, E, J, np.empty((5, E.size))):
         pass
-    return J.T
+    return J
+
+
+def _exact_fano(mpmath, theta, E):
+    """Rows of the exact Fano Jacobian at the kernel's own scalars, and
+    per entry the size of the terms it sums: |eps| + |q| for u = eps + q
+    and 1 + |q*eps| for 1 - q*eps, whose rounding no kernel avoids."""
+    E_r, lgam, q, lpeak = (mpmath.mpf(x) for x in theta)
+    two_g = 2 / mpmath.mpf(math.exp(lgam))
+    peak = mpmath.mpf(math.exp(lpeak))
+    big = 1 + q * q
+    rows, sizes = [], []
+    for e in E:
+        eps = (mpmath.mpf(e) - E_r) * two_g
+        D = 1 + eps * eps
+        u, v = eps + q, 1 - q * eps
+        tu, tv = abs(eps) + abs(q), 1 + abs(q * eps)
+        m = 2 * peak / (big * D * D)  # d f/d eps over u*v
+        rows.append([-two_g * m * u * v, -eps * m * u * v,
+                     2 * peak * u * v / (big * big * D), peak * u * u / (big * D)])
+        sizes.append([two_g * m * tu * tv, abs(eps) * m * tu * tv,
+                      2 * peak * tu * tv / (big * big * D), peak * tu * tu / (big * D)])
+    return rows, sizes
+
+
+def _exact_bw(mpmath, theta, E):
+    """Rows of the exact Breit-Wigner Jacobian at the kernel's own
+    scalars; no entry sums terms of opposite sign, so each is its own
+    size."""
+    E_r, lgam, lsig = (mpmath.mpf(x) for x in theta)
+    two_g = 2 / mpmath.mpf(math.exp(lgam))
+    sigma0 = mpmath.mpf(math.exp(lsig))
+    rows = []
+    for e in E:
+        eps = (mpmath.mpf(e) - E_r) * two_g
+        D = 1 + eps * eps
+        m = 2 * eps * sigma0 / (D * D)  # -d f/d eps
+        rows.append([two_g * m, eps * m, sigma0 / D])
+    return rows, [[abs(x) for x in row] for row in rows]
+
+
+def _assert_accurate(kernel, exact, theta, E):
+    mpmath = pytest.importorskip("mpmath")
+    J = _in_place(kernel, theta, E)
+    assert np.isfinite(J).all()
+    with mpmath.workdps(40):
+        rows, sizes = exact(mpmath, theta, E)
+        for i, (row, size) in enumerate(zip(rows, sizes)):
+            for k, (want, s) in enumerate(zip(row, size)):
+                err = abs(mpmath.mpf(J[k, i]) - want)
+                assert err <= _ULPS * 2.0**-52 * s, (
+                    f"row {k}, sample {i}: {J[k, i]!r} against {mpmath.nstr(want, 20)}, "
+                    f"{float(err / (2.0**-52 * s)):.1f} units of 2^-52 of its terms"
+                )
 
 
 class TestInPlaceKernels:
-    @settings(max_examples=300, deadline=None)
-    @given(E_r=_E_R, lgam=_LOG, q=_Q, lpeak=_LOG, E=_grids())
-    def test_fano_matches_allocating_kernel(self, E_r, lgam, q, lpeak, E):
-        theta = np.array([E_r, lgam, q, lpeak])
-        with np.errstate(all="ignore"):
-            f, J_want = model_jac_fano_reference(theta, E)
-            J = _in_place(_model_jac_fano, theta, E)
-        assert _same_bits(J, J_want)
-        assert _same_bits(J[:, -1], f)
+    """The kernels fix no association order; their contract is that f
+    and every J row lie within _ULPS units of 2^-52 of the size of the
+    terms each entry is computed from, against 40-digit mpmath at the
+    same Gamma and scale."""
 
-    @settings(max_examples=300, deadline=None)
-    @given(E_r=_E_R, lgam=_LOG, lsig=_LOG, E=_grids())
-    def test_breit_wigner_matches_allocating_kernel(self, E_r, lgam, lsig, E):
-        theta = np.array([E_r, lgam, lsig])
-        with np.errstate(all="ignore"):
-            f, J_want = model_jac_bw_reference(theta, E)
-            J = _in_place(_model_jac_bw, theta, E)
-        assert _same_bits(J, J_want)
-        assert _same_bits(J[:, -1], f)
+    @settings(max_examples=200, deadline=None)
+    @given(E_r=_MAG, lgam=_LGAM, q=_Q_MAG, lpeak=_LSCALE, E=_grids())
+    def test_fano_within_ulps_of_mpmath(self, E_r, lgam, q, lpeak, E):
+        _assert_accurate(_model_jac_fano, _exact_fano, np.array([E_r, lgam, q, lpeak]), E)
+
+    @settings(max_examples=200, deadline=None)
+    @given(E_r=_MAG, lgam=_LGAM, lsig=_LSCALE, E=_grids())
+    def test_breit_wigner_within_ulps_of_mpmath(self, E_r, lgam, lsig, E):
+        _assert_accurate(_model_jac_bw, _exact_bw, np.array([E_r, lgam, lsig]), E)
 
     def test_fano_overflow_edge(self):
-        # Largest q and log-parameters at the clamp: inf and nan land in
-        # the same places in both kernels.
+        # Largest q and log-parameters at the clamp: inf and nan may
+        # appear only where the allocating kernel, which evaluates the
+        # same formulas with divisions, has them too.
         E = np.linspace(-1e3, 1e3, 101)
         for theta in ([0.0, -700.0, Q_CAP, 700.0], [1.0, 700.0, -Q_CAP, -700.0]):
             theta = np.array(theta)
             with np.errstate(all="ignore"):
                 _, J_want = model_jac_fano_reference(theta, E)
                 J = _in_place(_model_jac_fano, theta, E)
-            assert _same_bits(J, J_want)
+            assert np.isfinite(J[np.isfinite(J_want.T)]).all()
 
 
 def _fit_and_reference(curve, model: str):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,9 +307,8 @@ class TestSweep:
         E = np.linspace(-3.0, 3.0, 12)
         y = np.full(12, 5.0)
         W, t = np.full((4, 4), np.nan), np.empty((5, 4))
-        blocks = [(E[s : s + 4], y[s : s + 4], W[:3], t, W[3], W[..., None])
-                  for s in range(0, 12, 4)]
-        GA = np.full((4, 3, 1), np.nan)
+        blocks = [(E[s : s + 4], y[s : s + 4], W[:3], t, W[3], W.T) for s in range(0, 12, 4)]
+        GA = np.full((3, 4), np.nan)
         sse = fitter._sweep(kernel, np.zeros(3), blocks, GA, limit)
         return sse, sizes, W[:3], GA
 
@@ -330,8 +330,8 @@ class TestSweep:
             pass
         r = J[-1] - 5.0
         assert sse == pytest.approx(r @ r, rel=1e-15)
-        np.testing.assert_allclose(GA[3, :, 0], J @ r, rtol=1e-14, atol=1e-13)
-        np.testing.assert_allclose(GA[:3, :, 0], J @ J.T, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[:, 3], J @ r, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[:, :3], J @ J.T, rtol=1e-14, atol=1e-13)
 
     def test_a_limit_equal_to_the_sse_keeps_every_block(self):
         # An accepted trial's sse may equal the current one.
@@ -339,12 +339,27 @@ class TestSweep:
         assert self.sweep(sse)[:2] == (sse, [4, 4, 4])
 
 
-class TestStackedGemv:
-    """_sweep takes J J^T and J @ r of a block in one stacked matmul of
-    J against every row of the workspace; numpy runs one gemv per stack
-    entry, so each row must come out as J @ row alone, bit for bit, as
-    the per-row calls gave it.  J @ J.T goes to syrk, which adds in
-    another order."""
+class TestGramGemm:
+    """_sweep takes J J^T and J @ r of a block from one 2-D matmul of J
+    against the block's (m, p + 1) view [J; r]^T of the workspace.  For
+    a full block and for a tail block, whose views are strided in the
+    wider workspace, the product must be J @ [J; r].T of contiguous
+    copies bit for bit, and BLAS must read the views in place."""
+
+    @staticmethod
+    def kernel(theta, E, J, t):
+        J[:] = E
+        yield
+
+    @staticmethod
+    def blocks(rows, y, width):
+        # Blocks of width samples, the last one shorter, in one
+        # workspace; each block's "E" is the Jacobian the stub kernel
+        # copies in.
+        p, n = rows.shape
+        W = np.empty((p + 1, width))
+        return [(rows[:, s : s + k], y[s : s + k], W[:p, :k], None, W[p, :k], W[:, :k].T)
+                for s in range(0, n, width) for k in [min(width, n - s)]]
 
     @settings(deadline=None)
     @given(
@@ -354,31 +369,35 @@ class TestStackedGemv:
         scales=st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=4, max_size=4),
         seed=st.integers(0, 2**32),
     )
-    def test_each_row_is_its_own_gemv(self, p, width, tail, scales, seed):
-        # A full block, then a tail block of 1 to width - 1 samples in
-        # the same wider workspace.  Each block's "E" is the Jacobian
-        # the stub kernel copies in.
+    def test_each_block_is_one_gemm(self, p, width, tail, scales, seed):
+        # A full block, then a tail block of 1 to width - 1 samples.
         m = 1 + int(tail * (width - 2))
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((p, width + m)) * np.array(scales[:p])[:, None]
         y = rng.standard_normal(width + m) * scales[-1]
+        blocks = self.blocks(rows, y, width)
+        want = []
+        for E, y_blk, *_ in blocks:
+            J = E.copy()
+            want.append(J @ np.vstack([J, J[-1] - y_blk]).T)
+        GA = np.empty((p, p + 1))
+        fitter._sweep(self.kernel, None, blocks, GA, math.inf)
+        assert GA.tobytes() == (want[0] + want[1]).tobytes()
 
-        def kernel(theta, E, J, t):
-            J[:] = E
-            yield
-
-        W = np.empty((p + 1, width))
-        blocks = [(rows[:, s : s + n], y[s : s + n], W[:p, :n], None, W[p, :n], W[:, :n, None])
-                  for s, n in ((0, width), (width, m))]
-        sums = []
-        for E, y_blk, J, _, r, _ in blocks:
-            J[:] = E
-            np.subtract(J[-1], y_blk, out=r)
-            sums.append(np.array([J @ row for row in W[:, : r.size]]))
-        want = sums[0] + sums[1]
-        GA = np.empty((p + 1, p, 1))
-        fitter._sweep(kernel, None, blocks, GA, math.inf)
-        assert GA[..., 0].tobytes() == want.tobytes()
+    def test_no_block_sized_temporary(self):
+        # Two full blocks and a tail of 3616 samples, on which np.dot
+        # would copy both strided operands.
+        n = 20_000
+        rng = np.random.default_rng(0)
+        blocks = self.blocks(rng.standard_normal((4, n)), rng.standard_normal(n), fitter._BLOCK)
+        GA = np.empty((4, 5))
+        tracemalloc.start()
+        try:
+            fitter._sweep(self.kernel, None, blocks, GA, math.inf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (n % fitter._BLOCK) * 8
 
 
 class TestDampedSolve:
