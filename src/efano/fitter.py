@@ -1,7 +1,7 @@
 """Least-squares fitting of sampled cross sections to resonance profiles.
 
-The optimizer is damped Gauss-Newton (Levenberg-Marquardt with the
-damping term scaled by the diagonal of J^T J) over the parameter vector
+The optimizer is a damped Newton method (Levenberg-Marquardt, with the
+damping term scaled by the diagonal of J J^T) over the parameter vector
 (E_r, log Gamma, q, log peak) for the Fano model, peak being the
 profile maximum sigma0*(1+q^2), and (E_r, log Gamma, log sigma0) for
 the Breit-Wigner model.  Fitting the positive quantities in log form
@@ -12,14 +12,26 @@ are analytic.  The fit stops on MINPACK's scale-free gradient test
 (More 1978): every cosine between the residual and a Jacobian row is at
 most GTOL.
 
+The Hessian of sse/2 is A + S: the Gram matrix A = J J^T, which alone
+gives Gauss-Newton, plus S = sum_i r_i Hess f_i.  The Fano family holds
+the Breit-Wigner line as its |q| -> inf limit, so a Fano fit is near
+zero-residual and steps with A.  A Breit-Wigner fit to a Fano curve is
+a large-residual problem, on which Gauss-Newton converges only
+linearly; its kernel also writes three second-order rows whose sums
+give S exactly, and it steps with A + S wherever A + 2S is positive
+definite, that is A + S > A/2, so that S takes away at most half of the
+Gauss-Newton curvature in any direction, and with A elsewhere.
+
 Each point is evaluated in one sweep over the data in blocks of at most
-_BLOCK samples, in a fixed order.  Per block the workspace W holds a
-(p, block) Jacobian, one contiguous row per parameter with the model
-values f as its last row (d f / d log scale = f), then the residual r.
-The model kernel writes f first, and a trial's sweep stops at the block
-where its sse passes the current one, before any derivative row.
-Otherwise the kernel finishes J, and one gemm of J against W^T adds
-J J^T and J r to running totals while the block is still in cache.
+_BLOCK samples, in a fixed order.  Per block the workspace W holds the
+kernel's rows, one contiguous row each: any second-order rows, then a
+(p, block) Jacobian with the model values f as its last row
+(d f / d log scale = f), then the residual r.  The model kernel writes
+f first, and a trial's sweep stops at the block where its sse passes
+the current one, before any derivative row.  Otherwise the kernel
+finishes its rows, and one gemm of them against [J; r]^T adds J J^T,
+J r and the second-order sums to running totals while the block is
+still in cache.
 The workspace is the same few rows of one block whatever the size of
 the data.  Every BLAS sum runs over one block at most, shorter than the
 dot products OpenBLAS splits across its threads, so the fit's bits do
@@ -115,7 +127,7 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
     # straight line the Gauss-Newton step can follow to the q cap
     # instead of creeping along a curved trade-off with sigma0.
     # A generator: writes the model values f into J[3] (4, n) and
-    # yields, then writes the derivative rows, using the (5, n) scratch
+    # yields, then writes the derivative rows, using the (4, n) scratch
     # block t.  With eps = (E - E_r)*2/Gamma, iD = 1/(1 + eps^2) and
     # u = eps + q, f = u^2*iD*peak/big and, with g = u*(1 - q*eps)*iD,
     # d f/d q = g*2*peak/big^2 and -d f/d eps = g*iD*2*peak/big: one
@@ -124,7 +136,7 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
     gamma = math.exp(lgam)
     peak = math.exp(lpeak)
     big = 1.0 + q * q
-    eps, iD, u, g = t[:4]
+    eps, iD, u, g = t
     np.multiply(np.subtract(E, E_r, out=eps), 2.0 / gamma, out=eps)
     np.reciprocal(np.add(np.multiply(eps, eps, out=iD), 1.0, out=iD), out=iD)
     np.add(eps, q, out=u)
@@ -140,19 +152,64 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
 
 
 def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
-    # Same contract as _model_jac_fano, with J of shape (3, n): f is
-    # sigma0/D with D = 1 + eps^2, and -d f/d eps = 2*eps*f/D.
+    # Same contract as _model_jac_fano, with J of shape (6, n) and the
+    # (2, n) scratch t: f = sigma0/D with D = 1 + eps^2 goes into J[5],
+    # then J[3] and J[4] = -eps*d f/d eps, and rows 0..2 get
+    # f_ee*{1, eps, eps^2}, f_ee = d^2 f/d eps^2 = sigma0*(6 eps^2 - 2)/D^3,
+    # whose sums against r give the second-order term (_newton_bw).
+    # Each row is f or c = f*(6 eps^2 - 2)/(2D) times a weight 2 eps^j/D,
+    # at most 2 in magnitude, so no row goes subnormal while its exact
+    # value is normal; where D overflows, 2/D and every weight are 0,
+    # so no row takes inf*0.
     E_r, lgam, lsig = theta
     gamma = math.exp(lgam)
     sigma0 = math.exp(lsig)
-    eps, D, h = t[:3]
+    eps, c = t
     np.multiply(np.subtract(E, E_r, out=eps), 2.0 / gamma, out=eps)
-    np.add(np.multiply(eps, eps, out=D), 1.0, out=D)
-    f = np.divide(sigma0, D, out=J[2])
+    np.add(np.multiply(eps, eps, out=c), 1.0, out=c)
+    f = np.divide(sigma0, c, out=J[5])
     yield
-    np.divide(np.multiply(eps, f, out=h), D, out=h)  # -d f/d eps / 2
-    np.multiply(h, 4.0 / gamma, out=J[0])
-    np.multiply(np.multiply(eps, h, out=J[1]), 2.0, out=J[1])
+    i2D = np.divide(2.0, c, out=J[0])
+    w1 = np.multiply(eps, i2D, out=J[1])
+    w2 = np.multiply(eps, w1, out=J[2])
+    np.multiply(np.multiply(w1, 2.0 / gamma, out=J[3]), f, out=J[3])
+    np.multiply(w2, f, out=J[4])
+    np.multiply(np.add(np.multiply(i2D, -2.0, out=c), 3.0, out=c), f, out=c)
+    np.multiply(J[:3], c, out=J[:3])
+
+
+def _newton_bw(theta: np.ndarray, GA: np.ndarray) -> np.ndarray | None:
+    """The Breit-Wigner Hessian A + S of sse/2 when A + 2S is positive
+    definite; None otherwise, NaN and inf included.
+
+    GA is the sweep's sum over the blocks: rows 0..2 end in K = sum
+    r*f_ee*{1, eps, eps^2}, and rows 3..5 are [A | g].  With k =
+    2/Gamma, d eps/d E_r = -k and d eps/d log Gamma = -eps, and f is
+    linear in sigma0, so S = sum_i r_i Hess f_i has S_00 = k^2 K_0,
+    S_01 = k K_1 - g_0, S_11 = K_2 - g_1, and g as its log sigma0 row.
+    The test takes the pivots of the LDL^T of A + 2S, which scale with
+    the data as A does.
+    """
+    k = 2.0 / math.exp(theta[1])
+    (*_, K0), (*_, K1), (*_, K2), *A = GA.tolist()
+    (a00, a01, a02, g0), (a10, a11, a12, g1), (a20, a21, a22, g2) = A
+    s00, s01, s11 = k * k * K0, k * K1 - g0, K2 - g1
+    m00 = a00 + 2.0 * s00
+    if not 0.0 < m00 < math.inf:
+        return None
+    m01, m02 = a01 + 2.0 * s01, a02 + 2.0 * g0
+    l1, l2 = m01 / m00, m02 / m00
+    d1 = a11 + 2.0 * s11 - l1 * m01
+    if not 0.0 < d1 < math.inf:
+        return None
+    e = a12 + 2.0 * g1 - l2 * m01
+    if not 0.0 < a22 + 2.0 * g2 - l2 * m02 - e * e / d1 < math.inf:
+        return None
+    return np.array([
+        [a00 + s00, a01 + s01, a02 + g0],
+        [a10 + s01, a11 + s11, a12 + g1],
+        [a20 + g0, a21 + g1, a22 + g2],
+    ])
 
 
 def _sweep(
@@ -164,12 +221,14 @@ def _sweep(
     workspace views the block carries, and its r.r is added to the sse.
     Partial sums of squares only grow, so once the sse passes limit or
     is NaN the sweep returns it at once, before the block's derivative
-    rows, leaving GA partial.  Otherwise one 2-D matmul of the block's
-    J against its (m, p + 1) view Wt = [J; r]^T adds J J^T and J @ r to
-    the (p, p + 1) GA: columns 0..p-1 are the Gram matrix, column p is
-    g.  Both operands are strided views that BLAS reads in place, so
-    the product copies nothing.  The first block writes GA, so that a
-    one-block sum is its own BLAS result.
+    rows, leaving GA partial.  Otherwise one 2-D matmul of the kernel's
+    rows J, any second-order rows and then the Jacobian, against the
+    block's (m, p + 1) view Wt = [Jacobian; r]^T adds their products
+    with the Jacobian and with r to GA.  Its last p rows are [A | g]:
+    the Gram matrix J J^T and g = J @ r; the rows above end in the
+    second-order rows' sums against r.  Both operands are strided views
+    that BLAS reads in place, so the product copies nothing.  The first
+    block writes GA, so that a one-block sum is its own BLAS result.
     """
     sse = 0.0
     for k, (E, y, J, t, r, Wt) in enumerate(blocks):
@@ -179,7 +238,7 @@ def _sweep(
         sse += float(r @ r)
         if not sse <= limit:
             return sse
-        next(kernel, None)  # the derivative rows
+        next(kernel, None)  # the derivative and second-order rows
         if k == 0:
             np.matmul(J, Wt, out=GA)
         else:
@@ -187,15 +246,35 @@ def _sweep(
     return sse
 
 
+@dataclass(frozen=True)
+class _Kernel:
+    """A model kernel and the workspace it writes.
+
+    run(theta, E, J, t) is the generator that fills the (rows, n) J,
+    whose last p rows are the Jacobian with f last, using the
+    (scratch, n) t.  A kernel with rows > p writes rows - p
+    second-order rows first; newton(theta, GA) then reads their sums
+    from the sweep's GA and returns the Newton Hessian to step with,
+    or None for the Gauss-Newton A, as it always does for a kernel
+    without them.
+    """
+
+    run: Callable
+    rows: int
+    scratch: int
+    newton: Callable = lambda theta, GA: None
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _minimize(
-    model_jac: Callable,
+    model_jac: _Kernel,
     bound: np.ndarray,
     theta0: np.ndarray,
     E: np.ndarray,
     y: np.ndarray,
 ):
-    """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
+    """Damped Newton or Gauss-Newton loop over theta clamped to
+    [-bound, bound].
 
     Returns (theta, sse, iterations, converged) at one of four exits:
     the GTOL gradient test passes, an accepted step drops the sse by
@@ -205,29 +284,35 @@ def _minimize(
     count.  g is J @ r, half the gradient of the sse, and A the Gram
     matrix J J^T, both views of one array per point; those of the
     current point and of the trial point are swapped when a trial is
-    accepted.  Overflow raises no numpy warning: a trial whose damped
-    system is singular or not finite, or whose sse is not finite, is
-    rejected, and a kept point whose sse, g or Gram diagonal is not
-    finite raises DomainError.
+    accepted.  The step solves (H + lam*diag(A)) step = -g.  H is A,
+    the Gauss-Newton Hessian of sse/2, unless the kernel has
+    second-order rows: then H is the exact Hessian A + S whenever
+    A + 2S is positive definite, that is H > A/2, so that S takes away
+    at most half of A's curvature in any direction, and A otherwise.
+    Overflow raises no numpy warning: a trial whose damped system is
+    singular or not finite, or whose sse is not finite, is rejected,
+    and a kept point whose sse, g or Gram diagonal is not finite raises
+    DomainError.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
     p = theta.size
+    n2 = model_jac.rows - p
     n = E.size
     width = min(n, _BLOCK)
-    W = np.empty((p + 1, width))
-    t = np.empty((5, width))
+    W = np.empty((model_jac.rows + 1, width))
+    t = np.empty((model_jac.scratch, width))
     blocks = []
     for s in range(0, n, width):
         m = min(width, n - s)
         Wm = W[:, :m]
-        blocks.append((E[s : s + m], y[s : s + m], Wm[:p], t[:, :m], Wm[p], Wm.T))
-    GA, GA_c = np.empty((2, p, p + 1))
+        blocks.append((E[s : s + m], y[s : s + m], Wm[:-1], t[:, :m], Wm[-1], Wm[n2:].T))
+    GA, GA_c = np.empty((2, model_jac.rows, p + 1))
     damping = np.zeros((p, p))
-    sse = _sweep(model_jac, theta, blocks, GA, math.inf)
+    sse = _sweep(model_jac.run, theta, blocks, GA, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
-        A, g = GA[:, :p], GA[:, p]
+        A, g = GA[n2:, :p], GA[n2:, p]
         diag = A.diagonal().tolist()
         grad = g.tolist()
         if not all(map(math.isfinite, [sse, *grad, *diag])):
@@ -240,13 +325,16 @@ def _minimize(
         scale = GTOL * math.sqrt(sse)
         if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(grad, diag)):
             return theta, sse, it, True
+        H = model_jac.newton(theta, GA)
+        if H is None:
+            H = A
         damping.flat[:: p + 1] = [1.0 if d <= 0.0 else d for d in diag]
         neg_g = -g
         while lam <= 1e14:
-            step = solve1(A + lam * damping, neg_g)
+            step = solve1(H + lam * damping, neg_g)
             if all(map(math.isfinite, step.tolist())):
                 cand = np.minimum(np.maximum(theta + step, lo), bound)
-                sse_c = _sweep(model_jac, cand, blocks, GA_c, sse)
+                sse_c = _sweep(model_jac.run, cand, blocks, GA_c, sse)
                 if sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
@@ -378,7 +466,7 @@ class _Model:
     initial_guess: Callable[[CrossSectionCurve], ProfileParameters]
     to_theta: Callable[[ProfileParameters], list]
     from_theta: Callable[[np.ndarray], ProfileParameters]
-    model_jac: Callable
+    model_jac: _Kernel
     bound: np.ndarray
 
 
@@ -405,7 +493,7 @@ _MODELS = {
             math.log(g.sigma0) + math.log1p(g.q * g.q),
         ],
         from_theta=_fano_from_theta,
-        model_jac=_model_jac_fano,
+        model_jac=_Kernel(_model_jac_fano, rows=4, scratch=4),
         bound=np.array([math.inf, _LOG_BOUND, Q_CAP, _LOG_BOUND]),
     ),
     BreitWignerParameters.model: _Model(
@@ -415,7 +503,7 @@ _MODELS = {
         from_theta=lambda theta: BreitWignerParameters(
             E_r=float(theta[0]), Gamma=math.exp(theta[1]), sigma0=math.exp(theta[2])
         ),
-        model_jac=_model_jac_bw,
+        model_jac=_Kernel(_model_jac_bw, rows=6, scratch=2, newton=_newton_bw),
         bound=np.array([math.inf, _LOG_BOUND, _LOG_BOUND]),
     ),
 }

@@ -30,19 +30,20 @@ parameter clamp.
 The minimizer reference is the fitter's Levenberg-Marquardt loop as it
 was before it swept the data in blocks: whole-array Jacobians and
 residuals for the current and the trial point, with the sse taken in
-one BLAS call over all n samples, and the Gram matrix and the gradient
-in one gemm of J against [J; r]^T.  It runs the fitter's kernels,
-which are generators, to completion at every point.  For n up to one
-block it defines the fit bits; beyond that the blocked sums may differ
-from its single-call ones in the last bits.
+one BLAS call over all n samples, and the Gram matrix, the gradient and
+the sums of any second-order rows in one gemm of the kernel's rows
+against [J; r]^T.  It runs the fitter's kernels, which are generators,
+to completion at every point, and steps with the kernel's Newton
+Hessian where it gives one.  For n up to one block it defines the fit
+bits; beyond that the blocked sums may differ from its single-call
+ones in the last bits.  With newton=False it is the Gauss-Newton loop,
+a reference for the quality of the Newton fits.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable
-
 import numpy as np
 
 from efano.fitter import GTOL, MAX_ITERATIONS, SSE_RTOL
@@ -169,48 +170,56 @@ def model_jac_fano_reference(theta: np.ndarray, E: np.ndarray):
 
 
 def minimize_reference(
-    model_jac: Callable,
+    model_jac,
     bound: np.ndarray,
     theta0: np.ndarray,
     E: np.ndarray,
     y: np.ndarray,
+    newton: bool = True,
 ):
-    """Damped Gauss-Newton loop over theta clamped to [-bound, bound].
+    """Damped Newton or Gauss-Newton loop over theta clamped to
+    [-bound, bound].
 
-    Deterministic for fixed inputs.  The Jacobian and residual of the
-    current point and of the trial point live in one workspace
+    Deterministic for fixed inputs.  The kernel's rows and the residual
+    of the current point and of the trial point live in one workspace
     allocated up front; an accepted trial swaps the two.
     """
     lo = -bound
     theta = np.minimum(np.maximum(theta0, lo), bound)
     p = theta.size
-    W, W_c = np.empty((2, p + 1, E.size))
-    t = np.empty((5, E.size))
-    for _ in model_jac(theta, E, W[:p], t):
+    rows = model_jac.rows
+    n2 = rows - p
+    W, W_c = np.empty((2, rows + 1, E.size))
+    t = np.empty((model_jac.scratch, E.size))
+    for _ in model_jac.run(theta, E, W[:rows], t):
         pass
-    np.subtract(W[p - 1], y, out=W[p])
-    sse = float(W[p] @ W[p])
+    np.subtract(W[rows - 1], y, out=W[rows])
+    sse = float(W[rows] @ W[rows])
     lam = 1e-3
     iterations = 0
     converged = False
     for it in range(1, MAX_ITERATIONS + 1):
         iterations = it
-        # The Gram matrix and J @ r from one gemm of J against [J; r]^T.
-        GA = W[:p] @ W.T
-        A = GA[:, :p]
-        grad = 2.0 * GA[:, p]
+        # The Gram matrix, J @ r and the second-order sums from one gemm
+        # of the kernel's rows against [J; r]^T.
+        GA = W[:rows] @ W[n2:].T
+        A = GA[n2:, :p]
+        grad = 2.0 * GA[n2:, p]
         diag = np.diag(A).copy()
         # |grad_j| / (2 |r| |J_j|) is the cosine between r and row j.
         # Unsquared, so that no scale of the data overflows the test.
         if np.all(np.abs(grad) <= (2.0 * GTOL * math.sqrt(sse)) * np.sqrt(diag)):
             converged = True
             break
+        H = model_jac.newton(theta, GA) if newton else None
+        if H is None:
+            H = A
         diag[diag <= 0.0] = 1.0
         accepted = False
         rel_drop = 0.0
         while lam <= 1e14:
             try:
-                step = np.linalg.solve(A + lam * np.diag(diag), -0.5 * grad)
+                step = np.linalg.solve(H + lam * np.diag(diag), -0.5 * grad)
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and bool(np.all(np.isfinite(step))):
@@ -218,10 +227,10 @@ def minimize_reference(
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for _ in model_jac(cand, E, W_c[:p], t):
+                    for _ in model_jac.run(cand, E, W_c[:rows], t):
                         pass
-                    np.subtract(W_c[p - 1], y, out=W_c[p])
-                    sse_c = float(W_c[p] @ W_c[p])
+                    np.subtract(W_c[rows - 1], y, out=W_c[rows])
+                    sse_c = float(W_c[rows] @ W_c[rows])
                 if math.isfinite(sse_c) and sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c

@@ -17,12 +17,7 @@ import numpy as np
 from efano.cli import main
 from efano.dipole_ladder import build_ladder, kappa_n
 from efano.efimov import UNBOUNDED, count_states
-from efano.fitter import (
-    _model_jac_bw,
-    _model_jac_fano,
-    compare_models,
-    fit,
-)
+from efano.fitter import _MODELS, compare_models, fit
 from efano.numkit import log_gamma
 from efano.profiles import (
     BreitWignerParameters,
@@ -375,15 +370,16 @@ def _equivariance_worst() -> float:
     return worst
 
 
-def _allocating(kernel):
-    """(f, J) from an in-place kernel, which fills the (p, n) Jacobian
-    with f as its last row; J is returned as its (n, p) view."""
+def _allocating(model):
+    """(f, J) from a model's in-place kernel, whose last p rows are the
+    Jacobian with f last; J is returned as the (n, p) view of them."""
+    kernel = _MODELS[model].model_jac
 
     def fn(theta, E):
-        J = np.empty((theta.size, E.size))
-        for _ in kernel(theta, E, J, np.empty((5, E.size))):
+        J = np.empty((kernel.rows, E.size))
+        for _ in kernel.run(theta, E, J, np.empty((kernel.scratch, E.size))):
             pass
-        return J[-1], J.T
+        return J[-1], J[-theta.size :].T
 
     return fn
 
@@ -401,9 +397,9 @@ def _jacobian_worst() -> float:
 
     worst = 0.0
     cases = [
-        (_allocating(_model_jac_fano), np.array([1.63, math.log(0.25), 4.0, math.log(17.0)])),
-        (_allocating(_model_jac_fano), np.array([2.0, math.log(0.4), -2.5, math.log(5.0)])),
-        (_allocating(_model_jac_bw), np.array([2.0, math.log(0.5), math.log(3.0)])),
+        (_allocating("fano"), np.array([1.63, math.log(0.25), 4.0, math.log(17.0)])),
+        (_allocating("fano"), np.array([2.0, math.log(0.4), -2.5, math.log(5.0)])),
+        (_allocating("breit_wigner"), np.array([2.0, math.log(0.5), math.log(3.0)])),
     ]
     for fn, theta in cases:
         J = fn(theta, FIG_GRID)[1]

@@ -12,9 +12,10 @@ The golden check also runs in subprocesses under one and two BLAS
 threads: the fit sweeps the data in blocks small enough that no BLAS
 call splits its sums across threads, so the bits must not move.
 
-The kernel tests check f and every Jacobian row of each model against
-40-digit mpmath, to a few ulp of the terms each entry sums, and at the
-overflow edge against the allocating kernel in tests/oracles.py.  The
+The kernel tests check f, every Jacobian row of each model and the
+Breit-Wigner kernel's second-order rows against 40-digit mpmath, to a
+few ulp of the terms each entry sums, and at the overflow edge against
+the allocating kernel in tests/oracles.py.  The
 sweep tests check fit against the whole-array minimizer in
 tests/oracles.py: bit for bit up to one block of samples, to 1e-13 in
 the sse beyond it.
@@ -40,8 +41,6 @@ from efano.fitter import (
     _MODELS,
     Q_CAP,
     _minimize,
-    _model_jac_bw,
-    _model_jac_fano,
     compare_models,
     fit,
 )
@@ -55,11 +54,11 @@ GOLDEN = TESTS / "golden" / "fit_reports.json"
 # (model, params, e_min, e_max, points, noise, seed).  Fano and
 # Breit-Wigner curves at 200, 2000 and 10^5 samples; the lone-peak Fano
 # curve runs to the iteration cap and the tiny-sigma0 one tests scale.
-# The fits take every exit of _minimize: 16 stop on the sse stall, the
-# Breit-Wigner fits of cases 2 and 8 and the Fano fits of cases 6 and 7
-# on the gtol test, the Fano fit of case 3 at the iteration cap, and the
-# Breit-Wigner fit of the last case, after 5 iterations, where no
-# damping level gives an improving step.
+# The fits take every exit of _minimize: 12 stop on the sse stall, the
+# Breit-Wigner fits of cases 0, 2, 3, 4, 5 and 7 and the Fano fits of
+# cases 6 and 7 on the gtol test, the Fano fit of case 3 at the
+# iteration cap, and the Breit-Wigner fit of the last case, after 5
+# iterations, where no damping level gives an improving step.
 CASES = [
     ("fano", (1.63, 0.25, 4.0, 1.0), 0.5, 3.5, 200, 0.01, 7),
     ("fano", (2.0, 0.4, -2.5, 5.0), 0.0, 4.0, 2000, 0.02, 2),
@@ -175,10 +174,15 @@ def _grids(draw):
     return np.linspace(lo, lo + span, draw(st.integers(1, 64)))
 
 
+_FANO = _MODELS["fano"].model_jac
+_BW = _MODELS["breit_wigner"].model_jac
+
+
 def _in_place(kernel, theta, E):
-    """The (p, n) Jacobian a kernel fills in place, f as its last row."""
-    J = np.empty((theta.size, E.size))
-    for _ in kernel(theta, E, J, np.empty((5, E.size))):
+    """The rows a kernel fills in place: any second-order rows, then the
+    Jacobian with f last."""
+    J = np.empty((kernel.rows, E.size))
+    for _ in kernel.run(theta, E, J, np.empty((kernel.scratch, E.size))):
         pass
     return J
 
@@ -206,19 +210,25 @@ def _exact_fano(mpmath, theta, E):
 
 
 def _exact_bw(mpmath, theta, E):
-    """Rows of the exact Breit-Wigner Jacobian at the kernel's own
-    scalars; no entry sums terms of opposite sign, so each is its own
-    size."""
+    """Rows f_ee*{1, eps, eps^2} of the exact second derivative f_ee =
+    sigma0*(6 eps^2 - 2)/D^3 and of the exact Breit-Wigner Jacobian, at
+    the kernel's own scalars.  6 eps^2 - 2 sums terms of opposite sign,
+    so the size of f_ee is sigma0*(6 eps^2 + 2)/D^3; no Jacobian entry
+    does, so each is its own size."""
     E_r, lgam, lsig = (mpmath.mpf(x) for x in theta)
     two_g = 2 / mpmath.mpf(math.exp(lgam))
     sigma0 = mpmath.mpf(math.exp(lsig))
-    rows = []
+    rows, sizes = [], []
     for e in E:
         eps = (mpmath.mpf(e) - E_r) * two_g
         D = 1 + eps * eps
         m = 2 * eps * sigma0 / (D * D)  # -d f/d eps
-        rows.append([two_g * m, eps * m, sigma0 / D])
-    return rows, [[abs(x) for x in row] for row in rows]
+        f_ee = sigma0 * (6 * eps * eps - 2) / D**3
+        size = sigma0 * (6 * eps * eps + 2) / D**3
+        jac = [two_g * m, eps * m, sigma0 / D]
+        rows.append([f_ee, f_ee * eps, f_ee * eps * eps, *jac])
+        sizes.append([size, size * abs(eps), size * eps * eps, *map(abs, jac)])
+    return rows, sizes
 
 
 def _assert_accurate(kernel, exact, theta, E):
@@ -230,27 +240,45 @@ def _assert_accurate(kernel, exact, theta, E):
         for i, (row, size) in enumerate(zip(rows, sizes)):
             for k, (want, s) in enumerate(zip(row, size)):
                 err = abs(mpmath.mpf(J[k, i]) - want)
-                assert err <= _ULPS * 2.0**-52 * s, (
+                # An exact value below the normal range may be off by
+                # the subnormal spacing 2^-1074 as well.
+                assert err <= _ULPS * 2.0**-52 * s + 2.0**-1074, (
                     f"row {k}, sample {i}: {J[k, i]!r} against {mpmath.nstr(want, 20)}, "
                     f"{float(err / (2.0**-52 * s)):.1f} units of 2^-52 of its terms"
                 )
 
 
 class TestInPlaceKernels:
-    """The kernels fix no association order; their contract is that f
-    and every J row lie within _ULPS units of 2^-52 of the size of the
-    terms each entry is computed from, against 40-digit mpmath at the
-    same Gamma and scale."""
+    """The kernels fix no association order; their contract is that f,
+    every J row and every second-order row lie within _ULPS units of
+    2^-52 of the size of the terms each entry is computed from, against
+    40-digit mpmath at the same Gamma and scale."""
 
     @settings(max_examples=200, deadline=None)
     @given(E_r=_MAG, lgam=_LGAM, q=_Q_MAG, lpeak=_LSCALE, E=_grids())
     def test_fano_within_ulps_of_mpmath(self, E_r, lgam, q, lpeak, E):
-        _assert_accurate(_model_jac_fano, _exact_fano, np.array([E_r, lgam, q, lpeak]), E)
+        _assert_accurate(_FANO, _exact_fano, np.array([E_r, lgam, q, lpeak]), E)
 
     @settings(max_examples=200, deadline=None)
     @given(E_r=_MAG, lgam=_LGAM, lsig=_LSCALE, E=_grids())
     def test_breit_wigner_within_ulps_of_mpmath(self, E_r, lgam, lsig, E):
-        _assert_accurate(_model_jac_bw, _exact_bw, np.array([E_r, lgam, lsig]), E)
+        _assert_accurate(_BW, _exact_bw, np.array([E_r, lgam, lsig]), E)
+
+    def test_breit_wigner_rows_where_eps_f_over_D_is_subnormal(self):
+        # |eps| ~ 9e84 and Gamma ~ 1e-83: eps*f/D is ~1e-310, so a
+        # kernel that divides by D before applying 2/Gamma loses the
+        # Jacobian's first two rows to the subnormal range.
+        theta = np.array([-17.14944364314606, -191.3979509956701, -127.33063116836473])
+        _assert_accurate(_BW, _exact_bw, theta, np.array([17.305142908613615]))
+
+    def test_breit_wigner_rows_where_D_overflows(self):
+        # At |eps| ~ 8e290, eps^2 overflows and D is inf; every row's
+        # exact value there is below the double range, so each comes
+        # out 0, never the NaN of inf*0.  At eps = 0 nothing overflows.
+        with np.errstate(over="ignore"):
+            J = _in_place(_BW, np.array([0.0, -600.0, 0.0]), np.array([-1e30, 0.0, 1e30]))
+        assert (J[:, [0, 2]] == 0.0).all()
+        assert J[:, 1].tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_fano_overflow_edge(self):
         # Largest q and log-parameters at the clamp: inf and nan may
@@ -261,7 +289,7 @@ class TestInPlaceKernels:
             theta = np.array(theta)
             with np.errstate(all="ignore"):
                 _, J_want = model_jac_fano_reference(theta, E)
-                J = _in_place(_model_jac_fano, theta, E)
+                J = _in_place(_FANO, theta, E)
             assert np.isfinite(J[np.isfinite(J_want.T)]).all()
 
 

@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from efano import fitter
@@ -31,7 +31,7 @@ from efano.profiles import (
     synthesize,
 )
 
-from oracles import half_crossings_reference
+from oracles import half_crossings_reference, minimize_reference
 
 GRID = np.linspace(0.5, 3.5, 200)
 FANO_TRUE = FanoParameters(E_r=1.63, Gamma=0.25, q=4.0, sigma0=1.0)
@@ -303,21 +303,22 @@ class TestSweep:
 
         # Breit-Wigner values are at most sigma0 = 1, so every sample of
         # y = 5 adds at least 16 to the sse.  NaN sentinels show what
-        # the sweep leaves unwritten.
+        # the sweep leaves unwritten.  The kernel writes six rows: three
+        # second-order rows, then J with f last.
         E = np.linspace(-3.0, 3.0, 12)
         y = np.full(12, 5.0)
-        W, t = np.full((4, 4), np.nan), np.empty((5, 4))
-        blocks = [(E[s : s + 4], y[s : s + 4], W[:3], t, W[3], W.T) for s in range(0, 12, 4)]
-        GA = np.full((3, 4), np.nan)
+        W, t = np.full((7, 4), np.nan), np.empty((2, 4))
+        blocks = [(E[s : s + 4], y[s : s + 4], W[:6], t, W[6], W[3:].T) for s in range(0, 12, 4)]
+        GA = np.full((6, 4), np.nan)
         sse = fitter._sweep(kernel, np.zeros(3), blocks, GA, limit)
-        return sse, sizes, W[:3], GA
+        return sse, sizes, W[:6], GA
 
     def test_stops_after_the_block_that_passes_limit(self):
         sse, sizes, J, GA = self.sweep(1.0)
         assert sizes == [4]
         assert sse > 1.0
         # The stop comes after the model values, before the block's
-        # derivative rows and its J J^T and J @ r.
+        # derivative and second-order rows and their sums.
         assert np.isfinite(J[-1]).all()
         assert np.isnan(J[:-1]).all()
         assert np.isnan(GA).all()
@@ -325,13 +326,14 @@ class TestSweep:
     def test_unbounded_sweep_sums_every_block(self):
         sse, sizes, _, GA = self.sweep(math.inf)
         assert sizes == [4, 4, 4]
-        E, J = np.linspace(-3.0, 3.0, 12), np.empty((3, 12))
-        for _ in fitter._model_jac_bw(np.zeros(3), E, J, np.empty((5, 12))):
+        E, rows = np.linspace(-3.0, 3.0, 12), np.empty((6, 12))
+        for _ in fitter._model_jac_bw(np.zeros(3), E, rows, np.empty((2, 12))):
             pass
+        J = rows[3:]
         r = J[-1] - 5.0
         assert sse == pytest.approx(r @ r, rel=1e-15)
-        np.testing.assert_allclose(GA[:, 3], J @ r, rtol=1e-14, atol=1e-13)
-        np.testing.assert_allclose(GA[:, :3], J @ J.T, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[:, 3], rows @ r, rtol=1e-14, atol=1e-13)
+        np.testing.assert_allclose(GA[:, :3], rows @ J.T, rtol=1e-14, atol=1e-13)
 
     def test_a_limit_equal_to_the_sse_keeps_every_block(self):
         # An accepted trial's sse may equal the current one.
@@ -340,11 +342,13 @@ class TestSweep:
 
 
 class TestGramGemm:
-    """_sweep takes J J^T and J @ r of a block from one 2-D matmul of J
-    against the block's (m, p + 1) view [J; r]^T of the workspace.  For
-    a full block and for a tail block, whose views are strided in the
-    wider workspace, the product must be J @ [J; r].T of contiguous
-    copies bit for bit, and BLAS must read the views in place."""
+    """_sweep takes J J^T and J @ r of a block, and the sums of any
+    second-order rows against r, from one 2-D matmul of the kernel's
+    rows against the block's (m, p + 1) view [J; r]^T of the workspace.
+    For a full block and for a tail block, whose views are strided in
+    the wider workspace, the product must be rows @ [J; r].T of
+    contiguous copies bit for bit, and BLAS must read the views in
+    place."""
 
     @staticmethod
     def kernel(theta, E, J, t):
@@ -352,35 +356,37 @@ class TestGramGemm:
         yield
 
     @staticmethod
-    def blocks(rows, y, width):
+    def blocks(rows, y, width, n2=0):
         # Blocks of width samples, the last one shorter, in one
-        # workspace; each block's "E" is the Jacobian the stub kernel
-        # copies in.
-        p, n = rows.shape
-        W = np.empty((p + 1, width))
-        return [(rows[:, s : s + k], y[s : s + k], W[:p, :k], None, W[p, :k], W[:, :k].T)
+        # workspace; each block's "E" is the kernel rows the stub
+        # kernel copies in, n2 second-order rows and then J.
+        rows_n, n = rows.shape
+        W = np.empty((rows_n + 1, width))
+        return [(rows[:, s : s + k], y[s : s + k], W[:-1, :k], None, W[-1, :k], W[n2:, :k].T)
                 for s in range(0, n, width) for k in [min(width, n - s)]]
 
     @settings(deadline=None)
     @given(
         p=st.sampled_from([3, 4]),
+        n2=st.sampled_from([0, 3]),
         width=st.integers(2, fitter._BLOCK),
         tail=st.floats(0.0, 1.0),
         scales=st.lists(st.floats(-150.0, 150.0).map(lambda e: 10.0**e), min_size=4, max_size=4),
         seed=st.integers(0, 2**32),
     )
-    def test_each_block_is_one_gemm(self, p, width, tail, scales, seed):
+    def test_each_block_is_one_gemm(self, p, n2, width, tail, scales, seed):
         # A full block, then a tail block of 1 to width - 1 samples.
         m = 1 + int(tail * (width - 2))
         rng = np.random.default_rng(seed)
-        rows = rng.standard_normal((p, width + m)) * np.array(scales[:p])[:, None]
+        scale = np.array(scales[:p] + scales[:n2])[:, None]
+        rows = rng.standard_normal((n2 + p, width + m)) * scale
         y = rng.standard_normal(width + m) * scales[-1]
-        blocks = self.blocks(rows, y, width)
+        blocks = self.blocks(rows, y, width, n2)
         want = []
         for E, y_blk, *_ in blocks:
-            J = E.copy()
-            want.append(J @ np.vstack([J, J[-1] - y_blk]).T)
-        GA = np.empty((p, p + 1))
+            rows_blk = E.copy()
+            want.append(rows_blk @ np.vstack([rows_blk[n2:], rows_blk[-1] - y_blk]).T)
+        GA = np.empty((n2 + p, p + 1))
         fitter._sweep(self.kernel, None, blocks, GA, math.inf)
         assert GA.tobytes() == (want[0] + want[1]).tobytes()
 
@@ -440,6 +446,124 @@ class TestDampedSolve:
             warnings.simplefilter("error")
             step = fitter.solve1(M, -np.ones(p))
         assert not np.isfinite(step).all()
+
+
+@st.composite
+def _fano_curves(draw, max_points):
+    """A noisy Fano curve on a grid of a few widths around the
+    resonance: a large-residual problem for the Breit-Wigner fit."""
+    e_r = draw(st.floats(-10.0, 10.0))
+    gamma = draw(st.floats(0.01, 5.0))
+    params = FanoParameters(
+        e_r, gamma, draw(st.floats(-8.0, 8.0)), draw(st.floats(1e-3, 1e3))
+    )
+    lo = e_r - gamma * draw(st.floats(1.0, 20.0))
+    hi = e_r + gamma * draw(st.floats(1.0, 20.0))
+    grid = np.linspace(lo, hi, draw(st.integers(8, max_points)))
+    return synthesize(params, grid, draw(st.floats(0.0, 0.05)), draw(st.integers(0, 2**32)))
+
+
+class TestNewtonStep:
+    """The Breit-Wigner fit steps with the exact Hessian A + S of sse/2
+    where A + 2S is positive definite, and with the Gauss-Newton A
+    elsewhere."""
+
+    BW = fitter._MODELS["breit_wigner"]
+
+    @staticmethod
+    def exact_hessian(mpmath, theta, E, y):
+        """The Hessian of sse/2 in (E_r, log Gamma, log sigma0), by
+        mpmath's differentiation of the 30-digit sum of squares."""
+        Em = [mpmath.mpf(e) for e in E]
+        ym = [mpmath.mpf(v) for v in y]
+
+        def half_sse(e_r, lgam, lsig):
+            k, sigma0 = 2 / mpmath.exp(lgam), mpmath.exp(lsig)
+            return sum((sigma0 / (1 + ((e - e_r) * k) ** 2) - v) ** 2 for e, v in zip(Em, ym)) / 2
+
+        def entry(i, j):
+            order = tuple((k == i) + (k == j) for k in range(3))
+            return float(mpmath.diff(half_sse, [mpmath.mpf(v) for v in theta], order))
+
+        return np.array([[entry(i, j) for j in range(3)] for i in range(3)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=_fano_curves(64), at_fit=st.booleans())
+    def test_hessian_matches_mpmath_and_the_guard_its_sign(self, curve, at_fit):
+        mpmath = pytest.importorskip("mpmath")
+        try:
+            report = fit(curve, "breit_wigner")
+        except DegenerateCurveError:
+            assume(False)
+        theta = np.array(self.BW.to_theta(report.params if at_fit else report.initial_guess))
+        E, y = curve.energies, curve.sigmas
+        kernel = self.BW.model_jac
+        W, t, GA = np.empty((7, E.size)), np.empty((2, E.size)), np.empty((6, 4))
+        fitter._sweep(kernel.run, theta, [(E, y, W[:6], t, W[6], W[3:].T)], GA, math.inf)
+        H = kernel.newton(theta, GA)
+        with mpmath.workdps(30):
+            H_exact = self.exact_hessian(mpmath, theta, E, y)
+        # Entries in units of the curvature along each axis, A's and S's.
+        A = GA[3:, :3]
+        scale = np.sqrt(np.diag(A) + np.abs(np.diag(H_exact - A)))
+        assume(np.isfinite(H_exact).all() and (scale > 1e-300).all())
+        units = np.outer(scale, scale)
+        lowest = np.linalg.eigvalsh((2.0 * H_exact - A) / units).min()  # of A + 2S
+        if H is None:
+            assert lowest < 1e-9
+        else:
+            assert lowest > -1e-9
+            assert (np.abs(np.array(H) - H_exact) / units).max() < 1e-12
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_guard_declines_nan_and_inf_without_raising(self, value):
+        GA = np.zeros((6, 4))
+        GA[3:, :3] = np.eye(3)
+        for i in range(6):
+            bad = GA.copy()
+            bad[i, 3] = value
+            assert self.BW.model_jac.newton(np.zeros(3), bad) is None
+        # A singular A + 2S, whose first pivot is 0, is declined too.
+        assert self.BW.model_jac.newton(np.zeros(3), np.zeros((6, 4))) is None
+
+    def test_guard_keeps_newton_from_running_off_to_infinite_gamma(self):
+        # Curve 215 of the fit_small pool of seed 20261024.  With only
+        # "A + S positive definite" as the guard, the Breit-Wigner fit
+        # ends at Gamma ~ 1e304 with sse 379,499; Gauss-Newton and
+        # scipy's MINPACK refit both reach 291,669.13.
+        scipy_optimize = pytest.importorskip("scipy.optimize")
+        params = FanoParameters(
+            4.856698570273032, 0.1522572294234116, 0.22356126439127977, 73.28732383710519
+        )
+        grid = np.linspace(4.406573148677699, 5.439317606377427, 816)
+        curve = synthesize(params, grid, 0.012495228288600713, seed=8057852870932975010)
+        report = fit(curve, "breit_wigner")
+        E, y = curve.energies, curve.sigmas
+
+        def residual(theta):
+            e_r, lgam, lsig = theta
+            return math.exp(lsig) / (1.0 + ((E - e_r) * 2.0 / math.exp(lgam)) ** 2) - y
+
+        ref = scipy_optimize.least_squares(
+            residual, self.BW.to_theta(report.initial_guess), method="lm",
+            x_scale="jac", ftol=1e-15, xtol=1e-15, gtol=1e-15, max_nfev=20000,
+        )
+        scipy_sse = math.fsum(residual(ref.x) ** 2)
+        assert scipy_sse == pytest.approx(291_669.13, rel=1e-7)
+        assert report.sse <= scipy_sse * (1.0 + 1e-6)
+
+    @settings(max_examples=40, deadline=None)
+    @given(curve=_fano_curves(2000))
+    def test_newton_fit_is_no_worse_than_gauss_newton(self, curve):
+        try:
+            report = fit(curve, "breit_wigner")
+        except DegenerateCurveError:
+            assume(False)
+        _, gn_sse, _, _ = minimize_reference(
+            self.BW.model_jac, self.BW.bound, np.array(self.BW.to_theta(report.initial_guess)),
+            curve.energies, curve.sigmas, newton=False,
+        )
+        assert report.sse <= gn_sse * (1.0 + 1e-9)
 
 
 class TestLorentzianLimit:
