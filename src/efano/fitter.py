@@ -154,13 +154,16 @@ def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarr
 def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
     # Same contract as _model_jac_fano, with J of shape (6, n) and the
     # (2, n) scratch t: f = sigma0/D with D = 1 + eps^2 goes into J[5],
-    # then J[3] and J[4] = -eps*d f/d eps, and rows 0..2 get
-    # f_ee*{1, eps, eps^2}, f_ee = d^2 f/d eps^2 = sigma0*(6 eps^2 - 2)/D^3,
-    # whose sums against r give the second-order term (_newton_bw).
-    # Each row is f or c = f*(6 eps^2 - 2)/(2D) times a weight 2 eps^j/D,
-    # at most 2 in magnitude, so no row goes subnormal while its exact
-    # value is normal; where D overflows, 2/D and every weight are 0,
-    # so no row takes inf*0.
+    # then J[3] = -(2/Gamma)*d f/d eps, J[4] = -eps*d f/d eps, and rows
+    # 0..2 get f_ee*{1, eps, eps^2}, with f_ee = d^2 f/d eps^2 =
+    # sigma0*(6 eps^2 - 2)/D^3, whose sums against r give the
+    # second-order term (_newton_bw).
+    # Each row is f, or c = f*(6 eps^2 - 2)/(2D), times a weight
+    # 2 eps^j/D of magnitude at most 2; J[3] also takes 2/Gamma, which
+    # meets the weight before f.  So no intermediate is as small as
+    # eps*f/D, which goes subnormal near |eps| = 1e85 while J[3] is
+    # still normal.  Where D overflows, 2/D and every weight are 0, so
+    # no row takes inf*0.
     E_r, lgam, lsig = theta
     gamma = math.exp(lgam)
     sigma0 = math.exp(lsig)

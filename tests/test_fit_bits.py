@@ -15,10 +15,9 @@ call splits its sums across threads, so the bits must not move.
 The kernel tests check f, every Jacobian row of each model and the
 Breit-Wigner kernel's second-order rows against 40-digit mpmath, to a
 few ulp of the terms each entry sums, and at the overflow edge against
-the allocating kernel in tests/oracles.py.  The
-sweep tests check fit against the whole-array minimizer in
-tests/oracles.py: bit for bit up to one block of samples, to 1e-13 in
-the sse beyond it.
+the allocating kernel in tests/oracles.py.  The sweep tests check fit
+against the whole-array minimizer in tests/oracles.py: bit for bit up
+to one block of samples, to 1e-13 in the sse beyond it.
 """
 
 import json
