@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import cmath
 import math
+
 import numpy as np
 
 from efano.fitter import GTOL, MAX_ITERATIONS, SSE_RTOL
