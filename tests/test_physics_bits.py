@@ -128,6 +128,10 @@ def _numkit() -> list:
         out.append(_call(seeded_gaussian_noise, 3, 9, sigma))
     out.append(_call(seeded_gaussian_noise, 1.5, 4, 1.0))
     out.append(_call(seeded_gaussian_noise, 1, -1, 1.0))
+    # Long streams: a fit_large-sized one, and an odd length that the
+    # stream draws in several blocks.
+    out.append(_call(seeded_gaussian_noise, 11, 100_000, 1.0))
+    out.append(_call(seeded_gaussian_noise, 2**64 - 5, 41_011, 0.25))
     return out
 
 
@@ -282,6 +286,15 @@ def _profiles() -> list:
         (BreitWignerParameters(0.0, 1.0, 1e308), np.linspace(-1, 1, 9), 1.0, 3),
     ):
         out.append(_call(synthesize, *args))
+    # Curves of 10^5 samples: noisy Fano, Breit-Wigner noisy enough to
+    # clamp throughout, and one without noise.
+    grid = np.linspace(-3.0, 5.0, 100_000)
+    for p, noise, seed in (
+        (FanoParameters(1.0, 0.7, 1.8, 2.0), 0.02, 13),
+        (BreitWignerParameters(0.5, 1.2, 3.0), 0.6, 2**63 + 1),
+        (FanoParameters(-0.5, 0.3, -0.4, 1.0), 0.0, 0),
+    ):
+        out.append(_call(synthesize, p, grid, noise, seed))
     for args in ((np.zeros(8), np.zeros(8)), (np.arange(8.0), -np.ones(8))):
         out.append(_call(CrossSectionCurve, *args))
     for args in ((0.0, -1.0, 1.0, 1.0), (0.0, 1.0, math.nan, 1.0), (0.0, 1.0, 1.0, 0.0)):
