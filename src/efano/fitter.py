@@ -370,11 +370,21 @@ def _width(E: np.ndarray, y: np.ndarray, i_ref: int, level: float, rising: bool)
     edge.  A width that is not positive becomes a tenth of the span.
     """
     past = y >= level if rising else y <= level
-    before = np.flatnonzero(past[:i_ref])
-    after = i_ref + 1 + np.flatnonzero(past[i_ref + 1 :])
-    left = _interpolate(E, y, level, before[-1] + 1, before[-1]) if before.size else E[0]
-    right = _interpolate(E, y, level, after[0] - 1, after[0]) if after.size else E[-1]
+    # The left half is read outward, through a reversed view.
+    k = _first_true(past[:i_ref][::-1])
+    left = E[0] if k is None else _interpolate(E, y, level, i_ref - k, i_ref - 1 - k)
+    k = _first_true(past[i_ref + 1 :])
+    right = E[-1] if k is None else _interpolate(E, y, level, i_ref + k, i_ref + 1 + k)
     return _positive_or_tenth_of_span(float(right - left), E)
+
+
+def _first_true(mask: np.ndarray) -> int | None:
+    """Index of the first True in mask, or None; argmax stops there."""
+    if mask.size:
+        k = int(mask.argmax())
+        if mask[k]:
+            return k
+    return None
 
 
 def _positive_or_tenth_of_span(width: float, E: np.ndarray) -> float:

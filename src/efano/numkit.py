@@ -173,6 +173,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # float maximum / 16 keeps every deviate finite.
 _SIGMA_MAX = sys.float_info.max / 16.0
 
+# The noise stream draws at most this many (u, v) pairs at a time, so
+# its scratch stays a few 64 KB arrays whatever the length of the output.
+_NOISE_BLOCK = 4096
+
 
 def _check_seed(seed: int) -> None:
     if not isinstance(seed, int):
@@ -218,26 +222,27 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     0.0 and 1.0 occur; a pair is accepted when s = u*u + v*v lies in
     (0, 1), which excludes u = v = 0, and gives the two
     deviates sigma*(u*m) and sigma*(v*m), m = sqrt(-2 log(s) / s), in
-    that order; an odd n drops the last v.  The pairs are drawn in
-    blocks of the stream and screened with a mask, keeping their order.
-    log(s) is taken with math.log on the accepted values: numpy's
-    vectorised log differs from it in the last bit on some of them.
+    that order; an odd n drops the last v.  The output is the first
+    ceil(n/2) accepted pairs, so it does not depend on how the stream
+    is split: pairs are drawn in blocks of at most _NOISE_BLOCK, and
+    each block's accepted pairs are written straight into the output,
+    in order.  log(s) is taken with math.log on the accepted values:
+    numpy's vectorised log differs from it in the last bit on some.
     """
     _check_seed(seed)
     if not isinstance(n, int) or n < 0:
         raise DomainError(f"sample count must be a nonnegative int, got {n!r}")
     if not 0.0 <= sigma <= _SIGMA_MAX:
         raise DomainError(f"sigma must lie in [0, {_SIGMA_MAX!r}], got {sigma!r}")
-    if n == 0:
-        return np.empty(0)
     seed &= _U64
-    pairs: list[np.ndarray] = []
-    left = (n + 1) // 2
+    out = np.empty(((n + 1) // 2, 2))
+    done = 0
     drawn = 0
-    while left > 0:
+    while done < len(out):
         # About pi/4 of the pairs are accepted; a third more than needed
         # plus a few rarely falls short, and a short block is topped up.
-        size = left + left // 3 + 16
+        left = len(out) - done
+        size = min(left + left // 3 + 16, _NOISE_BLOCK)
         uv = _unit_open(seed, drawn, 2 * size).reshape(size, 2)
         drawn += 2 * size
         uv *= 2.0
@@ -247,7 +252,10 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         # s != 0.0 screens out the pair u = v = 0, which can occur.
         keep = np.flatnonzero((s < 1.0) & (s != 0.0))[:left]
         s = s[keep]
-        log_s = np.fromiter(map(math.log, s.tolist()), np.float64, s.size)
-        pairs.append(uv[keep] * np.sqrt(-2.0 * log_s / s)[:, None])
-        left -= keep.size
-    return (sigma * np.concatenate(pairs)).ravel()[:n]
+        log_s = np.fromiter(map(math.log, memoryview(s)), np.float64, s.size)
+        block = out[done : done + keep.size]
+        np.take(uv, keep, axis=0, out=block)
+        block *= np.sqrt(-2.0 * log_s / s)[:, None]
+        done += keep.size
+    out *= sigma
+    return out.ravel()[:n]

@@ -38,6 +38,10 @@ __all__ = [
 
 MIN_CURVE_SAMPLES = 8
 
+# synthesize evaluates the profile this many grid points at a time, so
+# its scratch stays a few 64 KB arrays whatever the length of the grid.
+_BLOCK = 8192
+
 
 @dataclass(frozen=True)
 class BreitWignerParameters:
@@ -99,7 +103,7 @@ class CrossSectionCurve:
             raise DomainError("grid must be finite")
         if not np.all(np.isfinite(s)):
             raise DomainError("curve samples must be finite")
-        if not np.all(np.diff(e) > 0.0):
+        if not (e[1:] > e[:-1]).all():
             raise DomainError("grid must be strictly increasing")
         if np.any(s < 0.0):
             raise DomainError("cross sections must be nonnegative")
@@ -182,6 +186,8 @@ def synthesize(
     seeds give identical curves.  Noise proportional to the local value
     keeps the interference zero visible at any noise level.  Samples
     driven negative are clamped to zero and counted in meta["clamped"].
+    The profile is evaluated a block of the grid at a time and written
+    straight into the noise array, which becomes the curve's samples.
 
     Requires a strictly increasing grid of at least 8 points, and an
     int seed whatever the noise level.
@@ -205,13 +211,22 @@ def synthesize(
         "seed": int(seed),
         "clamped": 0,
     }
+    noisy = noise_sigma_relative > 0.0
+    sigmas = seeded_gaussian_noise(seed, grid.size, 1.0) if noisy else np.empty(grid.size)
     # A non-finite grid point or an overflowing product leaves a value
     # that CrossSectionCurve rejects; numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        sigmas = evaluate(grid, p)
-        if noise_sigma_relative > 0.0:
-            g = seeded_gaussian_noise(seed, grid.size, 1.0)
-            noisy = sigmas * (1.0 + noise_sigma_relative * g)
-            meta["clamped"] = int(np.count_nonzero(noisy < 0.0))
-            sigmas = np.maximum(noisy, 0.0)
+        for i in range(0, grid.size, _BLOCK):
+            shape = evaluate(grid[i : i + _BLOCK], p)
+            out = sigmas[i : i + _BLOCK]
+            if not noisy:
+                out[...] = shape
+                continue
+            # The bits of shape * (1 + r*g): each operation only swaps
+            # its operands.
+            out *= noise_sigma_relative
+            out += 1.0
+            out *= shape
+            meta["clamped"] += int(np.count_nonzero(out < 0.0))
+            np.maximum(out, 0.0, out=out)
     return CrossSectionCurve(grid, sigmas, meta)

@@ -145,6 +145,10 @@ WIDTH_CURVES = {
     "dip-rounded": lambda: np.round(
         2.0 * evaluate(GRID, FanoParameters(E_r=2.0, Gamma=2.0, q=0.1, sigma0=2.0))
     ) / 2.0,
+    # fit_large's length, on GRID's span.
+    "fano-noisy-long": lambda: synthesize(
+        FANO_TRUE, np.linspace(GRID[0], GRID[-1], 100_000), 0.02, 5
+    ).sigmas,
 }
 
 
@@ -152,10 +156,11 @@ class TestWidth:
     @pytest.mark.parametrize("name", sorted(WIDTH_CURVES))
     def test_matches_scan_bit_for_bit(self, name):
         y = WIDTH_CURVES[name]()
+        E = np.linspace(GRID[0], GRID[-1], y.size)
         for i_ref, level in _width_cases(y):
             for rising in (False, True):
-                got = fitter._width(GRID, y, i_ref, level, rising)
-                want = _width_reference(GRID, y, i_ref, level, rising)
+                got = fitter._width(E, y, i_ref, level, rising)
+                want = _width_reference(E, y, i_ref, level, rising)
                 assert got.hex() == want.hex(), (i_ref, level, rising)
 
     def test_crossing_at_grid_edge_and_on_a_sample(self):

@@ -3,6 +3,7 @@ import decimal
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -305,10 +306,18 @@ class TestSeededNoise:
     @pytest.mark.parametrize("seed", NOISE_SEEDS)
     @pytest.mark.parametrize("sigma", NOISE_SIGMAS)
     def test_matches_scalar_reference_bit_for_bit(self, seed, sigma):
-        want = _hex(gaussian_noise_reference(seed, 20000, sigma))
+        # The stream draws at most B pairs per block.  A first block of
+        # left + left // 3 + 16 pairs reaches that cap at 3060 pairs
+        # left (n = 6119, 6120) and is cut to it from 3061 on; 2B
+        # deviates are one block of pairs; 6B + 1 take a few blocks and
+        # an odd tail.
+        block = numkit._NOISE_BLOCK
+        edges = (6119, 6120, 6121, 6122, 6123, 2 * block - 1, 2 * block, 2 * block + 1)
+        longest = 6 * block + 1
+        want = _hex(gaussian_noise_reference(seed, longest, sigma))
         for n in range(301):
             assert _hex(seeded_gaussian_noise(seed, n, sigma)) == want[:n], n
-        for n in (1999, 2000, 2001, 20000):
+        for n in (1999, 2000, 2001, *edges, 20000, longest):
             assert _hex(seeded_gaussian_noise(seed, n, sigma)) == want[:n], n
 
     @pytest.mark.parametrize("seed, n", [(2890, 200), (1093, 301)])
@@ -326,6 +335,17 @@ class TestSeededNoise:
         got = seeded_gaussian_noise(seed, n, 1.0)
         assert len(blocks) > 1
         assert _hex(got) == _hex(gaussian_noise_reference(seed, n, 1.0))
+
+    def test_scratch_does_not_grow_with_n(self):
+        # Each block's accepted pairs go straight into the output; the
+        # traced peak above a 10^6-deviate output was 34.9 MB.
+        tracemalloc.start()
+        try:
+            out = seeded_gaussian_noise(3, 10**6, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes <= 1_000_000
 
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 300])
     def test_returns_float64_array_of_length_n(self, n):
