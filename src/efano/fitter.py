@@ -249,35 +249,10 @@ def _sweep(
     return sse
 
 
-@dataclass(frozen=True)
-class _Kernel:
-    """A model kernel and the workspace it writes.
-
-    run(theta, E, J, t) is the generator that fills the (rows, n) J,
-    whose last p rows are the Jacobian with f last, using the
-    (scratch, n) t.  A kernel with rows > p writes rows - p
-    second-order rows first; newton(theta, GA) then reads their sums
-    from the sweep's GA and returns the Newton Hessian to step with,
-    or None for the Gauss-Newton A, as it always does for a kernel
-    without them.
-    """
-
-    run: Callable
-    rows: int
-    scratch: int
-    newton: Callable = lambda theta, GA: None
-
-
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _minimize(
-    model_jac: _Kernel,
-    bound: np.ndarray,
-    theta0: np.ndarray,
-    E: np.ndarray,
-    y: np.ndarray,
-):
-    """Damped Newton or Gauss-Newton loop over theta clamped to
-    [-bound, bound].
+def _minimize(m: _Model, theta0: np.ndarray, E: np.ndarray, y: np.ndarray):
+    """Damped Newton or Gauss-Newton loop for model m over theta clamped
+    to [-m.bound, m.bound].
 
     Returns (theta, sse, iterations, converged) at one of four exits:
     the GTOL gradient test passes, an accepted step drops the sse by
@@ -287,32 +262,29 @@ def _minimize(
     count.  g is J @ r, half the gradient of the sse, and A the Gram
     matrix J J^T, both views of one array per point; those of the
     current point and of the trial point are swapped when a trial is
-    accepted.  The step solves (H + lam*diag(A)) step = -g.  H is A,
-    the Gauss-Newton Hessian of sse/2, unless the kernel has
-    second-order rows: then H is the exact Hessian A + S whenever
-    A + 2S is positive definite, that is H > A/2, so that S takes away
-    at most half of A's curvature in any direction, and A otherwise.
+    accepted.  The step solves (H + lam*diag(A)) step = -g, with H the
+    model's Newton Hessian where m.newton gives one and A otherwise.
     Overflow raises no numpy warning: a trial whose damped system is
     singular or not finite, or whose sse is not finite, is rejected,
     and a kept point whose sse, g or Gram diagonal is not finite raises
     DomainError.
     """
-    lo = -bound
-    theta = np.minimum(np.maximum(theta0, lo), bound)
+    lo = -m.bound
+    theta = np.minimum(np.maximum(theta0, lo), m.bound)
     p = theta.size
-    n2 = model_jac.rows - p
+    n2 = m.rows - p
     n = E.size
     width = min(n, _BLOCK)
-    W = np.empty((model_jac.rows + 1, width))
-    t = np.empty((model_jac.scratch, width))
+    W = np.empty((m.rows + 1, width))
+    t = np.empty((m.scratch, width))
     blocks = []
     for s in range(0, n, width):
-        m = min(width, n - s)
-        Wm = W[:, :m]
-        blocks.append((E[s : s + m], y[s : s + m], Wm[:-1], t[:, :m], Wm[-1], Wm[n2:].T))
-    GA, GA_c = np.empty((2, model_jac.rows, p + 1))
+        k = min(width, n - s)
+        Wk = W[:, :k]
+        blocks.append((E[s : s + k], y[s : s + k], Wk[:-1], t[:, :k], Wk[-1], Wk[n2:].T))
+    GA, GA_c = np.empty((2, m.rows, p + 1))
     damping = np.zeros((p, p))
-    sse = _sweep(model_jac.run, theta, blocks, GA, math.inf)
+    sse = _sweep(m.run, theta, blocks, GA, math.inf)
     lam = 1e-3
     for it in range(1, MAX_ITERATIONS + 1):
         A, g = GA[n2:, :p], GA[n2:, p]
@@ -328,7 +300,7 @@ def _minimize(
         scale = GTOL * math.sqrt(sse)
         if all(abs(gj) <= scale * math.sqrt(d) for gj, d in zip(grad, diag)):
             return theta, sse, it, True
-        H = model_jac.newton(theta, GA)
+        H = m.newton(theta, GA)
         if H is None:
             H = A
         damping.flat[:: p + 1] = [1.0 if d <= 0.0 else d for d in diag]
@@ -336,8 +308,8 @@ def _minimize(
         while lam <= 1e14:
             step = solve1(H + lam * damping, neg_g)
             if all(map(math.isfinite, step.tolist())):
-                cand = np.minimum(np.maximum(theta + step, lo), bound)
-                sse_c = _sweep(model_jac.run, cand, blocks, GA_c, sse)
+                cand = np.minimum(np.maximum(theta + step, lo), m.bound)
+                sse_c = _sweep(m.run, cand, blocks, GA_c, sse)
                 if sse_c <= sse:
                     rel_drop = (sse - sse_c) / max(sse, 1e-300)
                     theta, sse = cand, sse_c
@@ -472,15 +444,25 @@ class _Model:
     """Everything fit needs to know about one line shape.
 
     theta is the internal parameter vector the optimizer moves; bound
-    is its symmetric clamp, |theta[i]| <= bound[i].
+    is its symmetric clamp, |theta[i]| <= bound[i].  run(theta, E, J, t)
+    is the model kernel, the generator that fills the (rows, n) J,
+    whose last p rows are the Jacobian with f last, using the
+    (scratch, n) t.  A kernel with rows > p writes rows - p
+    second-order rows first; newton(theta, GA) then reads their sums
+    from the sweep's GA and returns the Newton Hessian to step with,
+    or None for the Gauss-Newton A, as it always does for a kernel
+    without them.
     """
 
     params: type
     initial_guess: Callable[[CrossSectionCurve], ProfileParameters]
     to_theta: Callable[[ProfileParameters], list]
     from_theta: Callable[[np.ndarray], ProfileParameters]
-    model_jac: _Kernel
     bound: np.ndarray
+    run: Callable
+    rows: int
+    scratch: int
+    newton: Callable = lambda theta, GA: None
 
 
 def _fano_from_theta(theta: np.ndarray) -> FanoParameters:
@@ -506,8 +488,8 @@ _MODELS = {
             math.log(g.sigma0) + math.log1p(g.q * g.q),
         ],
         from_theta=_fano_from_theta,
-        model_jac=_Kernel(_model_jac_fano, rows=4, scratch=4),
         bound=np.array([math.inf, _LOG_BOUND, Q_CAP, _LOG_BOUND]),
+        run=_model_jac_fano, rows=4, scratch=4,
     ),
     BreitWignerParameters.model: _Model(
         params=BreitWignerParameters,
@@ -516,8 +498,8 @@ _MODELS = {
         from_theta=lambda theta: BreitWignerParameters(
             E_r=float(theta[0]), Gamma=math.exp(theta[1]), sigma0=math.exp(theta[2])
         ),
-        model_jac=_Kernel(_model_jac_bw, rows=6, scratch=2, newton=_newton_bw),
         bound=np.array([math.inf, _LOG_BOUND, _LOG_BOUND]),
+        run=_model_jac_bw, rows=6, scratch=2, newton=_newton_bw,
     ),
 }
 
@@ -549,7 +531,7 @@ def fit(
     elif not isinstance(guess, m.params):
         raise DomainError(f"{model} fit requires {m.params.__name__} as guess")
     theta, sse, iterations, converged = _minimize(
-        m.model_jac, m.bound, np.array(m.to_theta(guess)), curve.energies, curve.sigmas
+        m, np.array(m.to_theta(guess)), curve.energies, curve.sigmas
     )
     params = m.from_theta(theta)
     return FitReport(

@@ -173,9 +173,10 @@ _U64 = 0xFFFFFFFFFFFFFFFF
 # float maximum / 16 keeps every deviate finite.
 _SIGMA_MAX = sys.float_info.max / 16.0
 
-# The noise stream draws at most this many (u, v) pairs at a time, so
-# its scratch stays a few 64 KB arrays whatever the length of the output.
-_NOISE_BLOCK = 4096
+# The noise stream, and synthesize after it, work on at most this many
+# values at a time, so their scratch stays a few 64 KB arrays whatever
+# the length of the output.
+_BLOCK = 8192
 
 
 def _check_seed(seed: int) -> None:
@@ -224,7 +225,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     deviates sigma*(u*m) and sigma*(v*m), m = sqrt(-2 log(s) / s), in
     that order; an odd n drops the last v.  The output is the first
     ceil(n/2) accepted pairs, so it does not depend on how the stream
-    is split: pairs are drawn in blocks of at most _NOISE_BLOCK, and
+    is split: pairs are drawn in blocks of at most _BLOCK // 2, and
     each block's accepted pairs are written straight into the output,
     in order.  log(s) is taken with math.log on the accepted values:
     numpy's vectorised log differs from it in the last bit on some.
@@ -242,7 +243,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         # About pi/4 of the pairs are accepted; a third more than needed
         # plus a few rarely falls short, and a short block is topped up.
         left = len(out) - done
-        size = min(left + left // 3 + 16, _NOISE_BLOCK)
+        size = min(left + left // 3 + 16, _BLOCK // 2)
         uv = _unit_open(seed, drawn, 2 * size).reshape(size, 2)
         drawn += 2 * size
         uv *= 2.0

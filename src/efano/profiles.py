@@ -23,7 +23,7 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .errors import DomainError, require_finite, require_positive
-from .numkit import _check_seed, seeded_gaussian_noise
+from .numkit import _BLOCK, _check_seed, seeded_gaussian_noise
 
 __all__ = [
     "BreitWignerParameters",
@@ -37,10 +37,6 @@ __all__ = [
 ]
 
 MIN_CURVE_SAMPLES = 8
-
-# synthesize evaluates the profile this many grid points at a time, so
-# its scratch stays a few 64 KB arrays whatever the length of the grid.
-_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -165,12 +161,17 @@ def fano(E, p: FanoParameters):
 _SHAPES = {FanoParameters: fano, BreitWignerParameters: breit_wigner}
 
 
-def evaluate(E, p: ProfileParameters):
-    """Dispatch to fano or breit_wigner on the parameter type."""
+def _shape(p: ProfileParameters):
+    """fano or breit_wigner, by the parameter type."""
     shape = _SHAPES.get(type(p))
     if shape is None:
         raise DomainError(f"unsupported parameter type {type(p).__name__}")
-    return shape(E, p)
+    return shape
+
+
+def evaluate(E, p: ProfileParameters):
+    """Dispatch to fano or breit_wigner on the parameter type."""
+    return _shape(p)(E, p)
 
 
 def synthesize(
@@ -192,6 +193,7 @@ def synthesize(
     Requires a strictly increasing grid of at least 8 points, and an
     int seed whatever the noise level.
     """
+    shape = _shape(p)
     _check_seed(seed)
     grid = np.asarray(e_grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < MIN_CURVE_SAMPLES:
@@ -217,16 +219,16 @@ def synthesize(
     # that CrossSectionCurve rejects; numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, grid.size, _BLOCK):
-            shape = evaluate(grid[i : i + _BLOCK], p)
+            sigma = shape(grid[i : i + _BLOCK], p)
             out = sigmas[i : i + _BLOCK]
             if not noisy:
-                out[...] = shape
+                out[...] = sigma
                 continue
-            # The bits of shape * (1 + r*g): each operation only swaps
+            # The bits of sigma * (1 + r*g): each operation only swaps
             # its operands.
             out *= noise_sigma_relative
             out += 1.0
-            out *= shape
+            out *= sigma
             meta["clamped"] += int(np.count_nonzero(out < 0.0))
             np.maximum(out, 0.0, out=out)
     return CrossSectionCurve(grid, sigmas, meta)

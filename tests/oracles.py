@@ -170,29 +170,22 @@ def model_jac_fano_reference(theta: np.ndarray, E: np.ndarray):
     return f, J
 
 
-def minimize_reference(
-    model_jac,
-    bound: np.ndarray,
-    theta0: np.ndarray,
-    E: np.ndarray,
-    y: np.ndarray,
-    newton: bool = True,
-):
-    """Damped Newton or Gauss-Newton loop over theta clamped to
-    [-bound, bound].
+def minimize_reference(m, theta0: np.ndarray, E: np.ndarray, y: np.ndarray, newton: bool = True):
+    """Damped Newton or Gauss-Newton loop for the fit model m over theta
+    clamped to [-m.bound, m.bound].
 
     Deterministic for fixed inputs.  The kernel's rows and the residual
     of the current point and of the trial point live in one workspace
     allocated up front; an accepted trial swaps the two.
     """
-    lo = -bound
-    theta = np.minimum(np.maximum(theta0, lo), bound)
+    lo = -m.bound
+    theta = np.minimum(np.maximum(theta0, lo), m.bound)
     p = theta.size
-    rows = model_jac.rows
+    rows = m.rows
     n2 = rows - p
     W, W_c = np.empty((2, rows + 1, E.size))
-    t = np.empty((model_jac.scratch, E.size))
-    for _ in model_jac.run(theta, E, W[:rows], t):
+    t = np.empty((m.scratch, E.size))
+    for _ in m.run(theta, E, W[:rows], t):
         pass
     np.subtract(W[rows - 1], y, out=W[rows])
     sse = float(W[rows] @ W[rows])
@@ -212,7 +205,7 @@ def minimize_reference(
         if np.all(np.abs(grad) <= (2.0 * GTOL * math.sqrt(sse)) * np.sqrt(diag)):
             converged = True
             break
-        H = model_jac.newton(theta, GA) if newton else None
+        H = m.newton(theta, GA) if newton else None
         if H is None:
             H = A
         diag[diag <= 0.0] = 1.0
@@ -224,11 +217,11 @@ def minimize_reference(
             except np.linalg.LinAlgError:
                 step = None
             if step is not None and bool(np.all(np.isfinite(step))):
-                cand = np.minimum(np.maximum(theta + step, lo), bound)
+                cand = np.minimum(np.maximum(theta + step, lo), m.bound)
                 # Overflowing trials give a non-finite sse and are
                 # rejected below; numpy need not warn about them.
                 with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                    for _ in model_jac.run(cand, E, W_c[:rows], t):
+                    for _ in m.run(cand, E, W_c[:rows], t):
                         pass
                     np.subtract(W_c[rows - 1], y, out=W_c[rows])
                     sse_c = float(W_c[rows] @ W_c[rows])

@@ -373,11 +373,11 @@ def _equivariance_worst() -> float:
 def _allocating(model):
     """(f, J) from a model's in-place kernel, whose last p rows are the
     Jacobian with f last; J is returned as the (n, p) view of them."""
-    kernel = _MODELS[model].model_jac
+    m = _MODELS[model]
 
     def fn(theta, E):
-        J = np.empty((kernel.rows, E.size))
-        for _ in kernel.run(theta, E, J, np.empty((kernel.scratch, E.size))):
+        J = np.empty((m.rows, E.size))
+        for _ in m.run(theta, E, J, np.empty((m.scratch, E.size))):
             pass
         return J[-1], J[-theta.size :].T
 

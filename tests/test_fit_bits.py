@@ -173,15 +173,15 @@ def _grids(draw):
     return np.linspace(lo, lo + span, draw(st.integers(1, 64)))
 
 
-_FANO = _MODELS["fano"].model_jac
-_BW = _MODELS["breit_wigner"].model_jac
+_FANO = _MODELS["fano"]
+_BW = _MODELS["breit_wigner"]
 
 
-def _in_place(kernel, theta, E):
-    """The rows a kernel fills in place: any second-order rows, then the
-    Jacobian with f last."""
-    J = np.empty((kernel.rows, E.size))
-    for _ in kernel.run(theta, E, J, np.empty((kernel.scratch, E.size))):
+def _in_place(m, theta, E):
+    """The rows a model's kernel fills in place: any second-order rows,
+    then the Jacobian with f last."""
+    J = np.empty((m.rows, E.size))
+    for _ in m.run(theta, E, J, np.empty((m.scratch, E.size))):
         pass
     return J
 
@@ -230,9 +230,9 @@ def _exact_bw(mpmath, theta, E):
     return rows, sizes
 
 
-def _assert_accurate(kernel, exact, theta, E):
+def _assert_accurate(m, exact, theta, E):
     mpmath = pytest.importorskip("mpmath")
-    J = _in_place(kernel, theta, E)
+    J = _in_place(m, theta, E)
     assert np.isfinite(J).all()
     with mpmath.workdps(40):
         rows, sizes = exact(mpmath, theta, E)
@@ -298,8 +298,7 @@ def _fit_and_reference(curve, model: str):
     m = _MODELS[model]
     report = fit(curve, model)
     theta, sse, iterations, converged = minimize_reference(
-        m.model_jac, m.bound, np.array(m.to_theta(report.initial_guess)),
-        curve.energies, curve.sigmas,
+        m, np.array(m.to_theta(report.initial_guess)), curve.energies, curve.sigmas
     )
     return report, (m.from_theta(theta), sse, iterations, converged)
 
@@ -353,7 +352,7 @@ class TestBlockedSweep:
         theta0 = np.array(m.to_theta(m.initial_guess(curve)))
         tracemalloc.start()
         try:
-            _minimize(m.model_jac, m.bound, theta0, curve.energies, curve.sigmas)
+            _minimize(m, theta0, curve.energies, curve.sigmas)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -502,10 +502,9 @@ class TestNewtonStep:
             assume(False)
         theta = np.array(self.BW.to_theta(report.params if at_fit else report.initial_guess))
         E, y = curve.energies, curve.sigmas
-        kernel = self.BW.model_jac
         W, t, GA = np.empty((7, E.size)), np.empty((2, E.size)), np.empty((6, 4))
-        fitter._sweep(kernel.run, theta, [(E, y, W[:6], t, W[6], W[3:].T)], GA, math.inf)
-        H = kernel.newton(theta, GA)
+        fitter._sweep(self.BW.run, theta, [(E, y, W[:6], t, W[6], W[3:].T)], GA, math.inf)
+        H = self.BW.newton(theta, GA)
         with mpmath.workdps(30):
             H_exact = self.exact_hessian(mpmath, theta, E, y)
         # Entries in units of the curvature along each axis, A's and S's.
@@ -527,9 +526,9 @@ class TestNewtonStep:
         for i in range(6):
             bad = GA.copy()
             bad[i, 3] = value
-            assert self.BW.model_jac.newton(np.zeros(3), bad) is None
+            assert self.BW.newton(np.zeros(3), bad) is None
         # A singular A + 2S, whose first pivot is 0, is declined too.
-        assert self.BW.model_jac.newton(np.zeros(3), np.zeros((6, 4))) is None
+        assert self.BW.newton(np.zeros(3), np.zeros((6, 4))) is None
 
     def test_guard_keeps_newton_from_running_off_to_infinite_gamma(self):
         # Curve 215 of the fit_small pool of seed 20261024.  With only
@@ -571,7 +570,7 @@ class TestNewtonStep:
         except DegenerateCurveError:
             assume(False)
         theta, gn_sse, _, _ = minimize_reference(
-            self.BW.model_jac, self.BW.bound, np.array(self.BW.to_theta(report.initial_guess)),
+            self.BW, np.array(self.BW.to_theta(report.initial_guess)),
             curve.energies, curve.sigmas, newton=False,
         )
         E = curve.energies

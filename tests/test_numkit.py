@@ -311,7 +311,7 @@ class TestSeededNoise:
         # left (n = 6119, 6120) and is cut to it from 3061 on; 2B
         # deviates are one block of pairs; 6B + 1 take a few blocks and
         # an odd tail.
-        block = numkit._NOISE_BLOCK
+        block = numkit._BLOCK // 2
         edges = (6119, 6120, 6121, 6122, 6123, 2 * block - 1, 2 * block, 2 * block + 1)
         longest = 6 * block + 1
         want = _hex(gaussian_noise_reference(seed, longest, sigma))

@@ -145,6 +145,8 @@ class TestFano:
         assert evaluate(1.0, FANO_DYADIC) == fano(1.0, FANO_DYADIC)
         with pytest.raises(DomainError):
             evaluate(1.0, {"model": "fano"})
+        with pytest.raises(DomainError):
+            synthesize({"model": "fano"}, np.linspace(0.0, 1.0, 8))
 
 
 class TestParameterValidation:
