@@ -258,8 +258,7 @@ def _cmd_profile_fit(args: argparse.Namespace) -> str:
     if args.model == "both":
         if args.guess is not None:
             raise DomainError("--guess needs a single --model, not both")
-        fano_report, bw_report = compare_models(curve)
-        return _json([report_to_json_dict(fano_report), report_to_json_dict(bw_report)])
+        return _json(list(map(report_to_json_dict, compare_models(curve))))
     cls = _MODELS[args.model]
     guess = _parse_guess(args.guess, cls) if args.guess is not None else None
     return _json(report_to_json_dict(fit(curve, cls.model, guess)))
@@ -274,7 +273,7 @@ def _add_common(p: argparse.ArgumentParser, handler, formats=("csv", "json")) ->
         )
     p.add_argument("--out", metavar="PATH", help="write output to PATH instead of stdout")
     p.add_argument(
-        "--unit-label", dest="unit_label", metavar="LABEL",
+        "--unit-label", metavar="LABEL",
         help="annotation copied into output headers; never converted",
     )
 
@@ -297,10 +296,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--alpha", type=float, help="supercritical index sqrt(a - 1/4)")
     g.add_argument(
-        "--strength-a", dest="strength_a", type=float,
+        "--strength-a", type=float,
         help="coupling a of the -a/(2 r^2) potential; must exceed 1/4",
     )
-    p.add_argument("--n-max", dest="n_max", type=int, required=True,
+    p.add_argument("--n-max", type=int, required=True,
                    help="deepest level is n=0; emit levels through n_max "
                         f"(at most {MAX_LEVELS - 1})")
     p.add_argument("--scale", type=float, default=2.0,
@@ -314,11 +313,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depth", type=float, help="well depth V0 > 0")
     p.add_argument("--range", type=float, required=True, help="well range Rw > 0")
     p.add_argument("--mass", type=float, required=True, help="reduced mass mu > 0")
-    p.add_argument("--tune-to", dest="tune_to", type=float,
+    p.add_argument("--tune-to", type=float,
                    help="adjust the depth so the scattering length equals this value")
     p.add_argument("--branch", type=int, default=0,
                    help="depth branch m for --tune-to: x0 in (m*pi, (m+1)*pi)")
-    p.add_argument("--unitarity-tol", dest="unitarity_tol", type=float,
+    p.add_argument("--unitarity-tol", type=float,
                    default=DEFAULT_UNITARITY_TOL,
                    help="|cos x0| below this reports a as unitary (default: %(default)s)")
     _add_common(p, _cmd_scattering_length, ("json", "csv"))
@@ -326,17 +325,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("efimov-count", help="number of three-body states in the window")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--a", type=float, help="two-body scattering length (signed)")
-    g.add_argument("--a-infinite", dest="a_infinite", action="store_true",
+    g.add_argument("--a-infinite", action="store_true",
                    help="resonant limit |a| -> infinity")
     p.add_argument("--r0", type=float, default=1.0,
                    help="interaction range r0 > 0 (default: %(default)s)")
     _add_common(p, _cmd_efimov_count, ("json", "csv"))
 
     p = sub.add_parser("efimov-ladder", help="geometric tower of three-body energies")
-    p.add_argument("--alpha-eff", dest="alpha_eff", type=float, required=True,
+    p.add_argument("--alpha-eff", type=float, required=True,
                    help="strength index of the effective 1/R^2 attraction; "
                         "close to 1 for three identical bosons")
-    p.add_argument("--ground-energy", dest="ground_energy", type=float, required=True,
+    p.add_argument("--ground-energy", type=float, required=True,
                    help="deepest tower energy (negative)")
     p.add_argument("--count", type=int,
                    help=f"number of levels to emit (at most {MAX_LEVELS})")

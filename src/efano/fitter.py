@@ -403,22 +403,17 @@ def initial_guess_fano(curve: CrossSectionCurve) -> FanoParameters:
         d = float(E[i_max] - E[i_min])
         gamma = _positive_or_tenth_of_span(2.0 * q * d / (1.0 + q * q), E)
         e_r = float(E[i_min]) + 0.5 * q * gamma
-        sigma0 = y_max / (1.0 + q * q)
     elif has_peak:
         q = INIT_Q_CAP
         level = 0.5 * (y_max + min(float(y[0]), float(y[-1])))
         gamma = _width(E, y, i_max, level, rising=False)
         e_r = float(E[i_max])
-        sigma0 = y_max / (1.0 + q * q)
     else:
-        q = 0.0
-        y_min = float(y[i_min])
         # y_max is an end sample here, so baseline >= 0.5*y_max >= 1e-3*y_max.
-        sigma0 = baseline
-        level = 0.5 * (sigma0 + y_min)
+        level = 0.5 * (baseline + float(y[i_min]))
         gamma = _width(E, y, i_min, level, rising=True)
-        e_r = float(E[i_min])
-    return FanoParameters(E_r=e_r, Gamma=gamma, q=q, sigma0=sigma0)
+        return FanoParameters(E_r=float(E[i_min]), Gamma=gamma, q=0.0, sigma0=baseline)
+    return FanoParameters(E_r=e_r, Gamma=gamma, q=q, sigma0=y_max / (1.0 + q * q))
 
 
 def initial_guess_breit_wigner(curve: CrossSectionCurve) -> BreitWignerParameters:

@@ -46,16 +46,6 @@ _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _MIN_REAL = -(2.0**16 + 1.0)
 
 
-def _lanczos_right(z: complex) -> complex:
-    # Valid for Re(z) >= 0.5 only; callers shift into this half-plane.
-    w = z - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (w + i)
-    t = w + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc)
-
-
 def log_gamma(z: complex | float) -> complex:
     """Principal branch of log Gamma(z) for complex z.
 
@@ -81,11 +71,15 @@ def log_gamma(z: complex | float) -> complex:
     # preserves the principal branch (no sin-reflection needed, so no
     # branch bookkeeping for the log of an oscillating factor).
     shift = 0 + 0j
-    w = z
-    while w.real < 0.5:
-        shift += cmath.log(w)
-        w += 1.0
-    return _lanczos_right(w) - shift
+    while z.real < 0.5:
+        shift += cmath.log(z)
+        z += 1.0
+    w = z - 1.0
+    acc = _LANCZOS_COEFFS[0]
+    for i in range(1, len(_LANCZOS_COEFFS)):
+        acc += _LANCZOS_COEFFS[i] / (w + i)
+    t = w + _LANCZOS_G + 0.5
+    return _HALF_LOG_TWO_PI + (w + 0.5) * cmath.log(t) - t + cmath.log(acc) - shift
 
 
 def find_root(

@@ -190,13 +190,15 @@ def synthesize(
     The profile is evaluated a block of the grid at a time and written
     straight into the noise array, which becomes the curve's samples.
 
-    Requires a strictly increasing grid of at least 8 points, and an
+    Requires a strictly increasing 1-d grid of at least 8 points, and an
     int seed whatever the noise level.
     """
     shape = _shape(p)
     _check_seed(seed)
     grid = np.asarray(e_grid, dtype=np.float64)
-    if grid.ndim != 1 or grid.size < MIN_CURVE_SAMPLES:
+    if grid.ndim != 1:
+        raise DomainError(f"grid must be 1-d, got an array of shape {grid.shape}")
+    if grid.size < MIN_CURVE_SAMPLES:
         raise DomainError(
             f"grid too small: need at least {MIN_CURVE_SAMPLES} points, "
             f"got {grid.size}"
@@ -214,18 +216,15 @@ def synthesize(
         "clamped": 0,
     }
     noisy = noise_sigma_relative > 0.0
-    sigmas = seeded_gaussian_noise(seed, grid.size, 1.0) if noisy else np.empty(grid.size)
+    sigmas = seeded_gaussian_noise(seed, grid.size, 1.0) if noisy else np.zeros(grid.size)
     # A non-finite grid point or an overflowing product leaves a value
     # that CrossSectionCurve rejects; numpy need not warn about it.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i in range(0, grid.size, _BLOCK):
             sigma = shape(grid[i : i + _BLOCK], p)
             out = sigmas[i : i + _BLOCK]
-            if not noisy:
-                out[...] = sigma
-                continue
             # The bits of sigma * (1 + r*g): each operation only swaps
-            # its operands.
+            # its operands.  Without noise g = 0, which gives sigma.
             out *= noise_sigma_relative
             out += 1.0
             out *= sigma

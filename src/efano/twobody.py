@@ -253,13 +253,15 @@ def tune_to_scattering_length(
 
     # Newton polish on a(x) itself, whose derivative is -Rw*(x - sin x
     # cos x) / (x*cos x)^2: the root of h need not be the float x whose
-    # a(x) lies closest to the target.
+    # a(x) lies closest to the target.  At x = 0, where _solve falls back
+    # once h overflows, the slope reads 0 and the depth check rejects x.
     for _ in range(3):
         resid = _a_of_x(x, rw) - target_a
         if abs(resid) <= 1e-12 * abs(target_a):
             break
         cx = math.cos(x)
-        slope = -rw * (x - math.sin(x) * cx) / (x * x * cx * cx)
+        denom = x * x * cx * cx
+        slope = -rw * (x - math.sin(x) * cx) / denom if denom else 0.0
         if slope == 0.0:
             break
         step = resid / slope

@@ -216,8 +216,12 @@ class TestScatteringLength:
             ("--depth=1e-300", "--range=1", "--mass=1e-300"),
             ("--tune-to=5", "--range=1e-200", "--mass=1"),
             ("--tune-to=-5", "--range=1e-300", "--mass=1e300"),
+            ("--range=1.0", "--mass=0.5", "--tune-to=-1.5e308"),
         ],
-        ids=["x0-past-2**52", "x0-underflows", "range-underflows", "tuned-x0-overflows"],
+        ids=[
+            "x0-past-2**52", "x0-underflows", "range-underflows", "tuned-x0-overflows",
+            "target-overflows-h",
+        ],
     )
     def test_unrepresentable_well_exits_2(self, capsys, argv):
         code, out, err = run(capsys, "scattering-length", *argv)

@@ -1,5 +1,6 @@
 """Tests for profile initializers and the damped least-squares fitter."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -529,6 +530,28 @@ class TestNewtonStep:
             assert self.BW.newton(np.zeros(3), bad) is None
         # A singular A + 2S, whose first pivot is 0, is declined too.
         assert self.BW.newton(np.zeros(3), np.zeros((6, 4))) is None
+
+    def test_non_finite_steps_stop_at_the_clamped_start_without_warning(self):
+        # A NaN Hessian makes every damped step non-finite, so each is
+        # rejected until the damping passes 1e14.  log Gamma = 800 is
+        # clamped to the bound 700 before the first sweep.
+        curve = synthesize(FANO_TRUE, GRID, 0.01, seed=7)
+        theta0 = np.array(self.BW.to_theta(initial_guess_breit_wigner(curve)))
+        theta0[1] = 800.0
+        start = np.array([theta0[0], 700.0, theta0[2]])
+        nan_newton = dataclasses.replace(
+            self.BW, newton=lambda theta, GA: np.full((3, 3), np.nan)
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta, _, it, converged = fitter._minimize(
+                nan_newton, theta0, curve.energies, curve.sigmas
+            )
+        assert (it, converged) == (1, True)
+        assert theta.tobytes() == start.tobytes()
+        # The model's own Hessian moves on from the same start, so the
+        # stop above is not the gradient test's.
+        assert fitter._minimize(self.BW, theta0, curve.energies, curve.sigmas)[2] > 1
 
     def test_guard_keeps_newton_from_running_off_to_infinite_gamma(self):
         # Curve 215 of the fit_small pool of seed 20261024.  With only

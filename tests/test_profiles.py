@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from efano.errors import DomainError
-from efano.numkit import seeded_gaussian_noise
+from efano.numkit import _BLOCK, seeded_gaussian_noise
 from efano.profiles import (
     MIN_CURVE_SAMPLES,
     BreitWignerParameters,
@@ -222,8 +222,9 @@ class TestSynthesize:
     def grid(self, n=64):
         return np.linspace(0.5, 3.5, n)
 
-    def test_noiseless_equals_formula(self):
-        curve = synthesize(FANO_DYADIC, self.grid())
+    @pytest.mark.parametrize("n", [64, 2 * _BLOCK + 1])
+    def test_noiseless_equals_formula(self, n):
+        curve = synthesize(FANO_DYADIC, self.grid(n))
         assert np.array_equal(curve.sigmas, fano(curve.energies, FANO_DYADIC))
         assert curve.meta["clamped"] == 0
         assert curve.meta["model"] == "fano"
@@ -288,6 +289,11 @@ class TestSynthesize:
     def test_grid_too_small(self):
         with pytest.raises(DomainError):
             synthesize(FANO_DYADIC, np.linspace(0.5, 3.5, MIN_CURVE_SAMPLES - 1))
+
+    def test_grid_must_be_1d(self):
+        message = r"^grid must be 1-d, got an array of shape \(3, 4\)$"
+        with pytest.raises(DomainError, match=message):
+            synthesize(FANO_DYADIC, np.zeros((3, 4)))
 
     def test_grid_must_increase(self):
         grid = np.ones(16)

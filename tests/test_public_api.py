@@ -207,6 +207,7 @@ KNOWN_EDGES = [
     ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, float("nan"))),
     ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, float("inf"))),
     ("synthesize", ((1.0, 0.5, 2.0, 1.0), np.linspace(0.0, 2.0, 8), 0.0, 7.5)),
+    ("tune_to_scattering_length", (1.0, 1.0, 0.5, -1.5e308, 0)),
 ]
 
 
