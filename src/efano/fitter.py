@@ -2,19 +2,19 @@
 
 The optimizer is a damped Newton method (Levenberg-Marquardt, with the
 damping term scaled by the diagonal of J J^T) over the parameter vector
-(E_r, log Gamma, q, log peak) for the Fano model, peak being the
-profile maximum sigma0*(1+q^2), and (E_r, log Gamma, log sigma0) for
-the Breit-Wigner model.  Fitting the positive quantities in log form
-keeps them positive without constraint handling, and the diagonal
-damping makes the iteration invariant under rescaling of the data, so
-fits commute with changes of cross-section units.  Residual derivatives
-are analytic.  The fit stops on MINPACK's scale-free gradient test
-(More 1978): every cosine between the residual and a Jacobian row is at
-most GTOL.
+(E_r, log Gamma, phi, log peak) for the Fano model, with q = tan(phi)
+and peak the profile maximum sigma0*(1+q^2), and (E_r, log Gamma,
+log sigma0) for the Breit-Wigner model.  Fitting the positive
+quantities in log form keeps them positive without constraint
+handling, and the diagonal damping makes the iteration invariant under
+rescaling of the data, so fits commute with changes of cross-section
+units.  Residual derivatives are analytic.  The fit stops on MINPACK's
+scale-free gradient test (More 1978): every cosine between the residual
+and a Jacobian row is at most GTOL.
 
 The Hessian of sse/2 is A + S: the Gram matrix A = J J^T, which alone
 gives Gauss-Newton, plus S = sum_i r_i Hess f_i.  The Fano family holds
-the Breit-Wigner line as its |q| -> inf limit, so a Fano fit is near
+the Breit-Wigner line at phi = pi/2, so a Fano fit is near
 zero-residual and steps with A.  A Breit-Wigner fit to a Fano curve is
 a large-residual problem, on which Gauss-Newton converges only
 linearly; its kernel also writes three second-order rows whose sums
@@ -81,8 +81,8 @@ __all__ = [
 MAX_ITERATIONS = 200
 SSE_RTOL = 1e-12
 GTOL = 1e-8
-# Bound on |q| during optimization: beyond this the profile is a
-# Lorentzian to machine precision and the q direction goes flat.
+# lorentzian_limit flags a Fano fit ending at |q| = |tan phi| >= Q_CAP,
+# |cos phi| <~ 1e-6, where its profile is a Lorentzian to ~2|eps|/|q|.
 Q_CAP = 1e6
 # Bound on |q| coming out of the initializer: the |q| of a lone peak,
 # and the cap on the two-extrema inversion.
@@ -106,8 +106,8 @@ class FitReport:
     converged means the stop was a convergence criterion (the GTOL
     gradient test, an sse stall, or no improving step), not the
     iteration cap; the best parameters found are reported either way.
-    lorentzian_limit flags a Fano fit that ended pinned at the |q| cap,
-    where the shape is indistinguishable from a Breit-Wigner peak.
+    lorentzian_limit flags a Fano fit that ended at |q| >= Q_CAP, its
+    phase within ~1e-6 of pi/2, where the shape is a Lorentzian peak.
     """
 
     model: str
@@ -120,35 +120,35 @@ class FitReport:
 
 
 def _model_jac_fano(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
-    # Internal Fano parameters are (E_r, log Gamma, q, log peak) with
-    # peak = sigma0*(1+q^2), the height of the profile maximum.  In the
-    # Lorentzian limit the peak stays finite while sigma0 ~ 1/q^2, so
-    # parameterizing by the peak turns the large-q valley into a
-    # straight line the Gauss-Newton step can follow to the q cap
-    # instead of creeping along a curved trade-off with sigma0.
-    # A generator: writes the model values f into J[3] (4, n) and
-    # yields, then writes the derivative rows, using the (4, n) scratch
-    # block t.  With eps = (E - E_r)*2/Gamma, iD = 1/(1 + eps^2) and
-    # u = eps + q, f = u^2*iD*peak/big and, with g = u*(1 - q*eps)*iD,
-    # d f/d q = g*2*peak/big^2 and -d f/d eps = g*iD*2*peak/big: one
-    # array reciprocal and no array division.
-    E_r, lgam, q, lpeak = theta
-    gamma = math.exp(lgam)
+    # Internal Fano parameters are (E_r, log Gamma, phi, log peak), with
+    # q = tan(phi) and peak = sigma0*(1+q^2), the profile maximum.  With
+    # s, c = sin(phi), cos(phi), eps = (E - E_r)*2/Gamma and iD = 1/(1 +
+    # eps^2), f = peak*u^2*iD with u = s + eps*c, Fano's phase form: f
+    # has period pi in phi and is the Breit-Wigner line at the interior
+    # point phi = pi/2, so phi needs no bound.  A generator: writes f
+    # into J[3] (4, n) and yields, then the derivative rows, using the
+    # (4, n) scratch t.  With g = u*(c - eps*s)*iD, |g| <= 1, d f/d phi
+    # = 2*peak*g and d f/d eps = 2*peak*g*iD: one array reciprocal and no
+    # array division.  Rows 0 and 1 take d f/d phi times the weights
+    # -iD*2/Gamma and -eps*iD, so no intermediate is as small as g*iD,
+    # subnormal near |eps| = 1e154 while those rows are still normal.
+    # The scratch row holds -eps, so that the signs ride on scalars.
+    E_r, lgam, phi, lpeak = theta
+    k = 2.0 / math.exp(lgam)
     peak = math.exp(lpeak)
-    big = 1.0 + q * q
-    eps, iD, u, g = t
-    np.multiply(np.subtract(E, E_r, out=eps), 2.0 / gamma, out=eps)
-    np.reciprocal(np.add(np.multiply(eps, eps, out=iD), 1.0, out=iD), out=iD)
-    np.add(eps, q, out=u)
+    s, c = math.sin(phi), math.cos(phi)
+    neps, iD, u, g = t
+    np.multiply(np.subtract(E, E_r, out=neps), -k, out=neps)
+    np.reciprocal(np.add(np.multiply(neps, neps, out=iD), 1.0, out=iD), out=iD)
+    np.add(np.multiply(neps, -c, out=u), s, out=u)
     f = np.multiply(np.multiply(u, u, out=J[3]), iD, out=J[3])
-    np.multiply(f, peak / big, out=f)
+    np.multiply(f, peak, out=f)
     yield
-    np.subtract(1.0, np.multiply(eps, q, out=g), out=g)
+    np.add(np.multiply(neps, s, out=g), c, out=g)
     np.multiply(np.multiply(g, u, out=g), iD, out=g)
-    np.multiply(g, 2.0 * peak / (big * big), out=J[2])
-    m = np.multiply(np.multiply(g, iD, out=g), -2.0 * peak / big, out=g)  # -d f/d eps
-    np.multiply(m, 2.0 / gamma, out=J[0])
-    np.multiply(eps, m, out=J[1])
+    np.multiply(g, 2.0 * peak, out=J[2])
+    np.multiply(np.multiply(iD, -k, out=u), J[2], out=J[0])
+    np.multiply(np.multiply(neps, iD, out=g), J[2], out=J[1])
 
 
 def _model_jac_bw(theta: np.ndarray, E: np.ndarray, J: np.ndarray, t: np.ndarray):
@@ -460,16 +460,6 @@ class _Model:
     newton: Callable = lambda theta, GA: None
 
 
-def _fano_from_theta(theta: np.ndarray) -> FanoParameters:
-    q = float(theta[2])
-    return FanoParameters(
-        E_r=float(theta[0]),
-        Gamma=math.exp(theta[1]),
-        q=q,
-        sigma0=math.exp(theta[3]) / (1.0 + q * q),
-    )
-
-
 # The initializers are looked up at call time, through this module's
 # globals, so that wrapping them (for tracing, say) takes effect.
 _MODELS = {
@@ -479,11 +469,16 @@ _MODELS = {
         to_theta=lambda g: [
             g.E_r,
             math.log(g.Gamma),
-            g.q,
+            math.atan(g.q),
             math.log(g.sigma0) + math.log1p(g.q * g.q),
         ],
-        from_theta=_fano_from_theta,
-        bound=np.array([math.inf, _LOG_BOUND, Q_CAP, _LOG_BOUND]),
+        from_theta=lambda theta: FanoParameters(
+            E_r=float(theta[0]),
+            Gamma=math.exp(theta[1]),
+            q=math.tan(theta[2]),
+            sigma0=math.exp(theta[3]) * math.cos(theta[2]) ** 2,
+        ),
+        bound=np.array([math.inf, _LOG_BOUND, math.inf, _LOG_BOUND]),
         run=_model_jac_fano, rows=4, scratch=4,
     ),
     BreitWignerParameters.model: _Model(

@@ -21,11 +21,11 @@ vectorised: one Python-int state stepped per draw, one pair at a time.
 The half-crossing reference is the sample-by-sample scan the fitter's
 initializers used to read a feature's width before it was vectorised.
 
-The Fano model/Jacobian reference is the fitter's kernel as it was
-before it wrote into a per-fit workspace: each call allocates f and J
-afresh and returns (f, J), evaluating the profile with array
-divisions.  It marks where the model overflows at the edge of the
-parameter clamp.
+The Fano model/Jacobian reference is the fitter's kernel in its phase
+form phi = atan q, as it was before it wrote into a per-fit workspace:
+each call allocates f and J afresh and returns (f, J), evaluating the
+profile with array divisions.  It marks where the model overflows at
+the edge of the parameter clamp.
 
 The minimizer reference is the fitter's Levenberg-Marquardt loop as it
 was before it swept the data in blocks: whole-array Jacobians and
@@ -152,20 +152,20 @@ def half_crossings_reference(
 
 
 def model_jac_fano_reference(theta: np.ndarray, E: np.ndarray):
-    E_r, lgam, q, lpeak = theta
+    E_r, lgam, phi, lpeak = theta
     gamma = math.exp(lgam)
     peak = math.exp(lpeak)
-    big = 1.0 + q * q
+    s, c = math.sin(phi), math.cos(phi)
     eps = (E - E_r) / (0.5 * gamma)
     denom = 1.0 + eps * eps
-    u = q + eps
-    f = peak * u * u / (big * denom)
-    core = 2.0 * peak * u * (1.0 - q * eps)
-    dfde = core / (big * denom * denom)
+    u = s + eps * c
+    f = peak * u * u / denom
+    core = 2.0 * peak * u * (c - eps * s)
+    dfde = core / (denom * denom)
     J = np.empty((E.size, 4))
     J[:, 0] = dfde * (-2.0 / gamma)
     J[:, 1] = -eps * dfde
-    J[:, 2] = core / (big * big * denom)
+    J[:, 2] = core / denom
     J[:, 3] = f
     return f, J
 

@@ -34,6 +34,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from efano import fitter
 from efano.errors import DegenerateCurveError
 from efano.fitter import (
     _BLOCK,
@@ -43,7 +44,7 @@ from efano.fitter import (
     compare_models,
     fit,
 )
-from efano.profiles import BreitWignerParameters, FanoParameters, synthesize
+from efano.profiles import BreitWignerParameters, FanoParameters, evaluate, synthesize
 
 from oracles import minimize_reference, model_jac_fano_reference
 
@@ -51,13 +52,13 @@ TESTS = pathlib.Path(__file__).parent
 GOLDEN = TESTS / "golden" / "fit_reports.json"
 
 # (model, params, e_min, e_max, points, noise, seed).  Fano and
-# Breit-Wigner curves at 200, 2000 and 10^5 samples; the lone-peak Fano
-# curve runs to the iteration cap and the tiny-sigma0 one tests scale.
-# The fits take every exit of _minimize: 12 stop on the sse stall, the
-# Breit-Wigner fits of cases 0, 2, 3, 4, 5 and 7 and the Fano fits of
-# cases 6 and 7 on the gtol test, the Fano fit of case 3 at the
-# iteration cap, and the Breit-Wigner fit of the last case, after 5
-# iterations, where no damping level gives an improving step.
+# Breit-Wigner curves at 200, 2000 and 10^5 samples; case 3 is a lone
+# peak with q = 15 and the tiny-sigma0 one tests scale.  The fits take
+# three exits of _minimize: 12 stop on the sse stall, the Breit-Wigner
+# fits of cases 0, 2, 3, 4, 5 and 7 and the Fano fits of cases 6, 8 and
+# 9 on the gtol test, and the Breit-Wigner fit of the last case, after
+# 5 iterations, where no damping level gives an improving step.  None
+# reaches the iteration cap; test_iteration_cap_exit takes that exit.
 CASES = [
     ("fano", (1.63, 0.25, 4.0, 1.0), 0.5, 3.5, 200, 0.01, 7),
     ("fano", (2.0, 0.4, -2.5, 5.0), 0.0, 4.0, 2000, 0.02, 2),
@@ -125,6 +126,18 @@ def test_golden_covers_every_case():
     assert len(_golden()) == len(CASES)
 
 
+@pytest.mark.parametrize("model", sorted(_MODELS))
+def test_iteration_cap_exit(monkeypatch, model):
+    curve = _curve(CASES[3])
+    full = fit(curve, model)
+    monkeypatch.setattr(fitter, "MAX_ITERATIONS", 2)
+    report = fit(curve, model)
+    assert full.iterations > 2
+    assert (report.iterations, report.converged) == (2, False)
+    r = evaluate(curve.energies, report.initial_guess) - curve.sigmas
+    assert full.sse <= report.sse < float(r @ r)
+
+
 # Prints the indices of the golden cases whose reports differ.
 _GOLDEN_CHECK = """
 import json, test_fit_bits as t
@@ -154,11 +167,17 @@ def test_golden_bits_whatever_the_blas_thread_count(threads):
 
 
 # The kernels' accuracy contract is drawn on a domain where no
-# intermediate leaves the normal range: E_r, the grid start and q are 0
-# or at least 1e-3 in magnitude, |log Gamma| <= 50 and the log scale is
-# within 200 of 0.  |eps| then stays below ~1e27 on either side.
+# intermediate leaves the normal range: E_r, the grid start and the
+# Fano phase are 0 or at least 1e-3 in magnitude, |log Gamma| <= 50 and
+# the log scale is within 200 of 0.  |eps| then stays below ~1e27 on
+# either side.  The phase spans a period and more, through pi/2, the
+# Breit-Wigner line, and atan(Q_CAP), where lorentzian_limit starts.
 _MAG = st.just(0.0) | st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3)
-_Q_MAG = st.just(0.0) | st.floats(1e-3, Q_CAP) | st.floats(-Q_CAP, -1e-3)
+_PHI = (
+    st.sampled_from([0.0, math.pi / 2, math.atan(Q_CAP)])
+    | st.floats(1e-3, 4.0)
+    | st.floats(-4.0, -1e-3)
+)
 _LGAM = st.floats(-50.0, 50.0)
 _LSCALE = st.floats(-200.0, 200.0)
 # Bound on each entry's error, in units of 2^-52 of the size of the
@@ -187,24 +206,25 @@ def _in_place(m, theta, E):
 
 
 def _exact_fano(mpmath, theta, E):
-    """Rows of the exact Fano Jacobian at the kernel's own scalars, and
-    per entry the size of the terms it sums: |eps| + |q| for u = eps + q
-    and 1 + |q*eps| for 1 - q*eps, whose rounding no kernel avoids."""
-    E_r, lgam, q, lpeak = (mpmath.mpf(x) for x in theta)
+    """Rows of the exact Fano Jacobian in the phase phi at the kernel's
+    own scalars (Gamma, peak, sin phi and cos phi), and per entry the
+    size of the terms it sums: |s| + |eps*c| for u = s + eps*c and |c| +
+    |eps*s| for c - eps*s, whose rounding no kernel avoids."""
+    E_r, lgam, phi, lpeak = theta
     two_g = 2 / mpmath.mpf(math.exp(lgam))
     peak = mpmath.mpf(math.exp(lpeak))
-    big = 1 + q * q
+    s, c = mpmath.mpf(math.sin(phi)), mpmath.mpf(math.cos(phi))
     rows, sizes = [], []
     for e in E:
-        eps = (mpmath.mpf(e) - E_r) * two_g
+        eps = (mpmath.mpf(e) - mpmath.mpf(E_r)) * two_g
         D = 1 + eps * eps
-        u, v = eps + q, 1 - q * eps
-        tu, tv = abs(eps) + abs(q), 1 + abs(q * eps)
-        m = 2 * peak / (big * D * D)  # d f/d eps over u*v
+        u, v = s + eps * c, c - eps * s
+        tu, tv = abs(s) + abs(eps * c), abs(c) + abs(eps * s)
+        m = 2 * peak / (D * D)  # d f/d eps over u*v
         rows.append([-two_g * m * u * v, -eps * m * u * v,
-                     2 * peak * u * v / (big * big * D), peak * u * u / (big * D)])
+                     2 * peak * u * v / D, peak * u * u / D])
         sizes.append([two_g * m * tu * tv, abs(eps) * m * tu * tv,
-                      2 * peak * tu * tv / (big * big * D), peak * tu * tu / (big * D)])
+                      2 * peak * tu * tv / D, peak * tu * tu / D])
     return rows, sizes
 
 
@@ -254,9 +274,9 @@ class TestInPlaceKernels:
     40-digit mpmath at the same Gamma and scale."""
 
     @settings(max_examples=200, deadline=None)
-    @given(E_r=_MAG, lgam=_LGAM, q=_Q_MAG, lpeak=_LSCALE, E=_grids())
-    def test_fano_within_ulps_of_mpmath(self, E_r, lgam, q, lpeak, E):
-        _assert_accurate(_FANO, _exact_fano, np.array([E_r, lgam, q, lpeak]), E)
+    @given(E_r=_MAG, lgam=_LGAM, phi=_PHI, lpeak=_LSCALE, E=_grids())
+    def test_fano_within_ulps_of_mpmath(self, E_r, lgam, phi, lpeak, E):
+        _assert_accurate(_FANO, _exact_fano, np.array([E_r, lgam, phi, lpeak]), E)
 
     @settings(max_examples=200, deadline=None)
     @given(E_r=_MAG, lgam=_LGAM, lsig=_LSCALE, E=_grids())
@@ -270,6 +290,13 @@ class TestInPlaceKernels:
         theta = np.array([-17.14944364314606, -191.3979509956701, -127.33063116836473])
         _assert_accurate(_BW, _exact_bw, theta, np.array([17.305142908613615]))
 
+    def test_fano_rows_where_g_over_D_is_subnormal(self):
+        # |eps| ~ 1.2e154 and iD ~ 7e-309: g*iD is ~6e-312, so a kernel
+        # that multiplies g by iD before peak and 2/Gamma or eps loses
+        # the Jacobian's first two rows to the subnormal range.
+        theta = np.array([0.0, -690.0, math.atan(1e-3), 690.0])
+        _assert_accurate(_FANO, _exact_fano, theta, np.array([1.3e-146]))
+
     def test_breit_wigner_rows_where_D_overflows(self):
         # At |eps| ~ 8e290, eps^2 overflows and D is inf; every row's
         # exact value there is below the double range, so each comes
@@ -280,11 +307,12 @@ class TestInPlaceKernels:
         assert J[:, 1].tolist() == [-2.0, 0.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_fano_overflow_edge(self):
-        # Largest q and log-parameters at the clamp: inf and nan may
-        # appear only where the allocating kernel, which evaluates the
-        # same formulas with divisions, has them too.
+        # Log-parameters at the clamp and the phase of |q| = Q_CAP: inf
+        # and nan may appear only where the allocating kernel, which
+        # evaluates the same formulas with divisions, has them too.
         E = np.linspace(-1e3, 1e3, 101)
-        for theta in ([0.0, -700.0, Q_CAP, 700.0], [1.0, 700.0, -Q_CAP, -700.0]):
+        phi = math.atan(Q_CAP)
+        for theta in ([0.0, -700.0, phi, 700.0], [1.0, 700.0, -phi, -700.0]):
             theta = np.array(theta)
             with np.errstate(all="ignore"):
                 _, J_want = model_jac_fano_reference(theta, E)

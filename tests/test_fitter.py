@@ -455,18 +455,21 @@ class TestDampedSolve:
 
 
 @st.composite
-def _fano_curves(draw, max_points):
-    """A noisy Fano curve on a grid of a few widths around the
-    resonance: a large-residual problem for the Breit-Wigner fit."""
+def _noisy_curves(draw, max_points, fano=True, min_noise=0.0):
+    """A noisy curve on a grid of a few widths around the resonance:
+    Fano, a large-residual problem for the Breit-Wigner fit, or with
+    fano=False Breit-Wigner."""
     e_r = draw(st.floats(-10.0, 10.0))
     gamma = draw(st.floats(0.01, 5.0))
-    params = FanoParameters(
-        e_r, gamma, draw(st.floats(-8.0, 8.0)), draw(st.floats(1e-3, 1e3))
+    q = [draw(st.floats(-8.0, 8.0))] if fano else []
+    params = (FanoParameters if fano else BreitWignerParameters)(
+        e_r, gamma, *q, draw(st.floats(1e-3, 1e3))
     )
     lo = e_r - gamma * draw(st.floats(1.0, 20.0))
     hi = e_r + gamma * draw(st.floats(1.0, 20.0))
     grid = np.linspace(lo, hi, draw(st.integers(8, max_points)))
-    return synthesize(params, grid, draw(st.floats(0.0, 0.05)), draw(st.integers(0, 2**32)))
+    noise = draw(st.floats(min_noise, 0.05))
+    return synthesize(params, grid, noise, draw(st.integers(0, 2**32)))
 
 
 class TestNewtonStep:
@@ -494,7 +497,7 @@ class TestNewtonStep:
         return np.array([[entry(i, j) for j in range(3)] for i in range(3)])
 
     @settings(max_examples=60, deadline=None)
-    @given(curve=_fano_curves(64), at_fit=st.booleans())
+    @given(curve=_noisy_curves(64), at_fit=st.booleans())
     def test_hessian_matches_mpmath_and_the_guard_its_sign(self, curve, at_fit):
         mpmath = pytest.importorskip("mpmath")
         try:
@@ -580,7 +583,7 @@ class TestNewtonStep:
         assert report.sse <= scipy_sse * (1.0 + 1e-6)
 
     @settings(max_examples=40, deadline=None)
-    @given(curve=_fano_curves(2000))
+    @given(curve=_noisy_curves(2000))
     def test_newton_fit_is_no_worse_than_gauss_newton(self, curve):
         # On a resolved peak: both fits end with E_r inside the grid and
         # Gamma between the sample spacing and the span.  Where the
@@ -604,10 +607,13 @@ class TestNewtonStep:
 
 
 class TestLorentzianLimit:
+    """The Fano fit moves the phase phi = atan q, in which the
+    Breit-Wigner line is the interior point phi = pi/2."""
+
     def test_fano_nests_breit_wigner(self):
-        # On a pure Lorentzian the best Fano is the q -> inf limit: the
-        # fit must run to the q cap, flag it, and still converge with a
-        # negligible sum of squares.
+        # On a pure Lorentzian the best Fano is phi = pi/2: the fit must
+        # end with |q| = |tan phi| at Q_CAP or beyond, flag it, and
+        # converge with a negligible sum of squares.
         curve = synthesize(BW_TRUE, GRID)
         report = fit(curve, "fano")
         assert report.converged
@@ -620,6 +626,32 @@ class TestLorentzianLimit:
     def test_true_fano_is_not_flagged(self):
         report = fit(synthesize(FANO_TRUE, GRID), "fano")
         assert not report.lorentzian_limit
+
+    @pytest.mark.parametrize(
+        "params, grid, seed",
+        [
+            (FanoParameters(1.5, 0.3, 15.0, 1.0), np.linspace(-0.3, 3.3, 200), 1),
+            (FanoParameters(0.0, 1.0, 12.0, 1.0), np.linspace(-7.5, 1.5416666666666667, 400), 2),
+        ],
+        ids=["lone_peak", "large_q"],
+    )
+    def test_large_q_converges_inside_the_cap(self, params, grid, seed):
+        # A clamp on q held both fits against |q| = Q_CAP for the whole
+        # iteration budget, short of the Breit-Wigner fit they contain.
+        fano_rep, bw_rep = compare_models(synthesize(params, grid, 0.01, seed))
+        assert fano_rep.converged
+        assert abs(fano_rep.params.q) < Q_CAP
+        assert not fano_rep.lorentzian_limit
+        assert fano_rep.sse < bw_rep.sse
+
+    @settings(max_examples=60, deadline=None)
+    @given(curve=_noisy_curves(2000, fano=False, min_noise=1e-3))
+    def test_fano_fit_is_no_worse_than_the_line_it_contains(self, curve):
+        try:
+            fano_rep, bw_rep = compare_models(curve)
+        except DegenerateCurveError:
+            assume(False)
+        assert fano_rep.sse <= bw_rep.sse * (1.0 + 1e-4)
 
 
 class TestCompareModels:
@@ -730,7 +762,7 @@ class TestEquivariance:
     @pytest.mark.parametrize("c", [1e153, 1e160])
     @pytest.mark.parametrize("model", ["fano", "breit_wigner"])
     def test_overflowing_scale_raises(self, c, model):
-        # On this curve the Gram sums overflow from c ~ 7.4e152 (Fano)
+        # On this curve the Gram sums overflow from c ~ 5.2e152 (Fano)
         # and ~8.2e152 (Breit-Wigner).  At 1e153 the Fano fit ended 2.8x
         # worse with converged=True; from 1e155 it reported sse = inf.
         base = synthesize(FanoParameters(0, 1, 2, 1), np.linspace(-3, 3, 50), 0.01, 3)
