@@ -132,14 +132,29 @@ def scattering_length(
     return ScatteringLengthResult(a=a, unitary=unitary, bound_state_count=_bound_count(x0))
 
 
-def _solve(f, lo: float, hi: float) -> float:
-    """Root of f in [lo, hi] to rounding level: find_root stops once its
+def _solve(f, lo: float, hi: float, start: float | None = None) -> float:
+    """Root of f in [lo, hi] to rounding level: each solve stops once its
     step falls below 2 ulp(1) times the root.
 
-    When f(lo) and f(hi) do not straddle a sign change (a NaN never
-    does) the endpoint with the smaller |f| stands in for the root;
-    callers judge the result by their own accuracy test.
+    From a start, plain Newton runs first, without evaluating the ends.
+    Its result stands only if every iterate lies strictly inside
+    (lo, hi), every slope is finite and nonzero, and the step falls
+    below that bound within 6 steps; otherwise find_root solves on the
+    bracket.  When f(lo) and f(hi) do not straddle a sign change (a NaN
+    never does) the endpoint with the smaller |f| stands in for the
+    root; callers judge the result by their own accuracy test.
     """
+    x = start
+    for _ in range(6 if start is not None else 0):
+        if not lo < x < hi:
+            break
+        fx, slope = f(x)
+        if slope == 0.0 or not math.isfinite(slope):
+            break
+        step = fx / slope
+        if abs(step) <= 2.0 * math.ulp(1.0) * abs(x) and lo < x - step < hi:
+            return x - step
+        x -= step
     try:
         return find_root(f, lo, hi, sys.float_info.min)
     except NoBracketError:
@@ -157,6 +172,14 @@ def binding_energy(well: SquareWell) -> float | None:
     keeps the relative accuracy of epsilon = -y^2 / (2 * mu * Rw^2) as
     the state becomes weakly bound, where |epsilon| tends to the
     universal value 1/(2 * mu * a^2).
+
+    Where a >= 8 Rw the solve starts from that universal state, kappa ~
+    1/(a - Rw/2), that is y1 = 1/(a/Rw - 1/2), and falls back to the
+    bracket if Newton from there does not settle.  Closer to the range
+    the estimate is rougher: a gate at 2 Rw or 4 Rw raised the
+    90th-percentile error of the energies of wells holding 1 to 4
+    states, which the gate at 8 Rw leaves where the bracketed solve has
+    it.
     """
     x0 = _strength(well)
     m = _bound_count(x0)
@@ -173,7 +196,9 @@ def binding_energy(well: SquareWell) -> float | None:
         cos, sin = math.cos(xp), math.sin(xp)
         return xp * cos + y * sin, (1.0 + y) * (sin - y / xp * cos)
 
-    y = _solve(matching, other(min(x0, m * math.pi)), other((m - 0.5) * math.pi))
+    a_rw = _a_of_x(x0, 1.0)
+    start = 1.0 / (a_rw - 0.5) if a_rw >= 8.0 else None
+    y = _solve(matching, other(min(x0, m * math.pi)), other((m - 0.5) * math.pi), start)
     return -y * y / (2.0 * well.reduced_mass_mu * well.range_Rw**2)
 
 
@@ -198,6 +223,11 @@ def tune_to_scattering_length(
     subnormal or fails to reproduce target_a to 1e-9 relative, as
     happens once the target is too large for any float64 depth to
     represent.
+
+    The solve starts at the first-order inversion of a(x) near the
+    divergence, x1 = p + 1/(p*(t - 1)) with p = (m + 1/2)*pi and t =
+    target_a/Rw, and falls back to the bracket when Newton from there
+    leaves it or does not settle; at t = 1 there is no start.
     """
     if not isinstance(branch, int) or branch < 0:
         raise DomainError(f"branch must be a nonnegative int, got {branch!r}")
@@ -249,7 +279,7 @@ def tune_to_scattering_length(
             return s + t * cos, (sin - s / x if x else 0.0) - t * sin
         return sin - c * x * cos, t * cos + c * x * sin
 
-    x = _solve(h, lo, hi)
+    x = _solve(h, lo, hi, pole - 1.0 / (pole * c) if c else None)
 
     # Newton polish on a(x) itself, whose derivative is -Rw*(x - sin x
     # cos x) / (x*cos x)^2: the root of h need not be the float x whose

@@ -433,13 +433,17 @@ class TestTuneToScatteringLength:
 class TestSolverWork:
     def test_evaluations_per_root(self, monkeypatch):
         # The benchmark's kind of targets: 8 log-spaced |a| from 25 to 1e4
-        # on branches 0-3, both signs.  Brent's method took 6.75
-        # evaluations per tuning root and 7.73 per dimer root here,
-        # endpoints included; the safeguarded Newton solve takes 5.31 and
-        # 6.91.
+        # on branches 0-3, both signs.  Every evaluation of the matching
+        # condition counts: the Newton start, the bracket ends and the
+        # bracketed iterations.  Brent's method took 6.75 evaluations per
+        # tuning root and 7.73 per dimer root here; the safeguarded Newton
+        # solve from the false-position point took 5.31 and 6.91; started
+        # at the universal estimates, the solves take 2.42 (at most 4)
+        # and 5.20 (at most 7).
         counts = []
+        solve = twobody._solve
 
-        def counting(f, lo, hi, tol):
+        def counting(f, lo, hi, start=None):
             n = 0
 
             def counted(x):
@@ -448,11 +452,11 @@ class TestSolverWork:
                 return f(x)
 
             try:
-                return find_root(counted, lo, hi, tol)
+                return solve(counted, lo, hi, start)
             finally:
                 counts.append(n)
 
-        monkeypatch.setattr(twobody, "find_root", counting)
+        monkeypatch.setattr(twobody, "_solve", counting)
         template = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
         tune, dimer = [], []
         for branch in range(4):
@@ -466,8 +470,120 @@ class TestSolverWork:
                     binding_energy(well)
                     dimer += counts
         assert len(tune) == 64 and len(dimer) == 56
-        assert sum(tune) / len(tune) < 5.4
-        assert sum(dimer) / len(dimer) < 7.0
+        assert sum(tune) / len(tune) < 2.5 and max(tune) <= 4
+        assert sum(dimer) / len(dimer) < 5.3 and max(dimer) <= 7
+
+
+def _without_start(monkeypatch) -> None:
+    solve = twobody._solve
+    monkeypatch.setattr(twobody, "_solve", lambda f, lo, hi, start=None: solve(f, lo, hi))
+
+
+def _bracketed_calls(monkeypatch) -> list:
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return find_root(*args)
+
+    monkeypatch.setattr(twobody, "find_root", spy)
+    return calls
+
+
+class TestUniversalStart:
+    """Every exit of the guarded Newton start hands the root to find_root
+    on the same bracket, bit for bit as if no start were given."""
+
+    TEMPLATE = SquareWell(depth_V0=1.0, range_Rw=1.0, reduced_mass_mu=0.5)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # x1 = pi/2 - 1/(pi/2 * 1.01) ~ 0.94 lies past the branch-0
+            # bracket end 2*sqrt(3 * 0.01) ~ 0.35.
+            lambda: tune_to_scattering_length(TestUniversalStart.TEMPLATE, -0.01, 0),
+            # target == Rw: t = 1 puts x1 at infinity, so no start is made.
+            lambda: tune_to_scattering_length(TestUniversalStart.TEMPLATE, 1.0, 1),
+            # Rw < a < 8 Rw: below the dimer's gate.
+            lambda: binding_energy(well_with_x0(1.5 * math.pi + 0.2)),
+        ],
+        ids=["start-outside-bracket", "target-equals-range", "dimer-below-gate"],
+    )
+    def test_physics_fallbacks(self, monkeypatch, call):
+        calls = _bracketed_calls(monkeypatch)
+        got = call()
+        assert len(calls) == 1
+        _without_start(monkeypatch)
+        assert repr(call()) == repr(got)
+
+    def test_dimer_gate_case_lies_between_range_and_gate(self):
+        a = scattering_length(well_with_x0(1.5 * math.pi + 0.2)).a
+        assert 1.0 < a < 8.0
+
+    @pytest.mark.parametrize(
+        "f,lo,hi,start",
+        [
+            (lambda x: (x - 0.3, 0.0), 0.0, 1.0, 0.9),
+            (lambda x: (x - 0.3, math.inf), 0.0, 1.0, 0.9),
+            (lambda x: (x - 0.3, math.nan), 0.0, 1.0, 0.9),
+            # A triple root: Newton converges only linearly, by 2/3 a step.
+            (lambda x: ((x - 0.3) ** 3, 3.0 * (x - 0.3) ** 2), 0.0, 1.0, 0.9),
+            # Newton on atan overshoots from 2.2 past the root.
+            (lambda x: (math.atan(x - 0.3), 1.0 / (1.0 + (x - 0.3) ** 2)), -1.0, 3.0, 2.5),
+            # The converged step lands on the bracket end.
+            (lambda x: (x - 1.0, 1.0), 0.0, 1.0, 1.0 - 2.0**-53),
+        ],
+        ids=["zero-slope", "infinite-slope", "nan-slope", "no-convergence", "leaves-bracket",
+             "converges-onto-end"],
+    )
+    def test_solver_fallbacks(self, monkeypatch, f, lo, hi, start):
+        calls = _bracketed_calls(monkeypatch)
+        got = twobody._solve(f, lo, hi, start)
+        assert len(calls) == 1
+        assert got.hex() == twobody._solve(f, lo, hi).hex()
+
+    def test_converged_start_skips_the_bracket(self, monkeypatch):
+        calls = _bracketed_calls(monkeypatch)
+        root = twobody._solve(lambda x: (x * x - 2.0, 2.0 * x), 1.0, 2.0, 1.5)
+        assert abs(root - math.sqrt(2.0)) <= math.ulp(root)
+        assert calls == []
+
+    def test_no_less_accurate_where_the_dimer_starts(self, monkeypatch):
+        # Wells just above each of the first four divergences, with a from
+        # ~8 Rw to 1e4 Rw, all past the a >= 8 Rw gate.  The relative error
+        # of epsilon, in units of 2**-53, against the exact root for the
+        # same float x0 (one 30-digit Newton step from the bracketed root).
+        # It grows with the condition number |a|*x0^2/Rw; its median and
+        # 90th percentile must not grow with the start.
+        mpmath = pytest.importorskip("mpmath")
+        r = random.Random(32)
+        wells = []
+        while len(wells) < 5000:
+            p = (r.randrange(4) + 0.5) * math.pi
+            well = well_with_x0(p + 1.0 / (p * 10.0 ** r.uniform(0.9, 4.0)))
+            if scattering_length(well).a >= 8.0:
+                wells.append(well)
+        calls = _bracketed_calls(monkeypatch)
+        started = [binding_energy(well) for well in wells]
+        assert len(calls) < len(wells) // 10
+        _without_start(monkeypatch)
+        bracketed = [binding_energy(well) for well in wells]
+        with_start, without = [], []
+        for well, eps_s, eps_b in zip(wells, started, bracketed):
+            mu, rw = well.reduced_mass_mu, well.range_Rw
+            with mpmath.workdps(30):
+                x0 = mpmath.mpf(well.x0)
+                y = mpmath.sqrt(-2 * mu * mpmath.mpf(eps_b)) * rw
+                xp = mpmath.sqrt(x0 * x0 - y * y)
+                cos, sin = mpmath.cos(xp), mpmath.sin(xp)
+                y -= (xp * cos + y * sin) / ((1 + y) * (sin - y / xp * cos))
+                want = -y * y / (2 * mu * rw * rw)
+                with_start.append(float(abs((eps_s - want) / want)) * 2.0**53)
+                without.append(float(abs((eps_b - want) / want)) * 2.0**53)
+        with_start.sort()
+        without.sort()
+        for q in (len(wells) // 2, len(wells) * 9 // 10):
+            assert with_start[q] <= without[q]
 
 
 class TestWeakBindingUniversality:
