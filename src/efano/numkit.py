@@ -5,7 +5,12 @@ These are deliberately self-contained so the physics modules above them
 have no dependencies beyond numpy.  Their bits are the same on every
 IEEE-754 platform whose C library log returns the same values: IEEE 754
 does not require log to be correctly rounded, and glibc 2.36 misrounds
-0.078% of the noise stream's logs.
+0.078% of the noise stream's logs.  The stream takes each log in numpy
+passes where they certify the correctly rounded value at least
+1/16 - 2**-7 ulp from a rounding midpoint, which any log erring by less
+than 0.5547 ulp also returns (glibc's errs by at most about 0.54), and
+calls math.log on the rest, about 1 in 8, and on blocks of fewer than
+512 values: on glibc its bits are those of math.log alone.
 """
 
 from __future__ import annotations
@@ -172,6 +177,183 @@ _SIGMA_MAX = sys.float_info.max / 16.0
 # the length of the output.
 _BLOCK = 8192
 
+# Fixed-point bits of the log tables below.  Each atanh(1/d) sum keeps
+# floor(2**_FIX / d**(2m + 1)) exactly and truncates its division by
+# 2m + 1, so every table value is off by less than 2**-116 before its
+# rounding to a double-double.
+_FIX = 128
+
+
+def _atanh_inv(d: int) -> int:
+    """atanh(1/d) * 2**_FIX for an integer d > 1, rounded down term by term."""
+    x = (1 << _FIX) // d
+    total, k = 0, 1
+    while x:
+        total += x // k
+        x //= d * d
+        k += 2
+    return total
+
+
+def _log_tables() -> tuple[float, float, np.ndarray, np.ndarray]:
+    """ln 2 as L_HI + L_LO, with L_HI on a 2**-43 grid, and -log(j/256)
+    as T_HI[j] + T_LO[j] for 186 <= j <= 372 (lower entries unused),
+    each pair the double-double nearest the fixed-point value:
+    ln 2 = 2 atanh(1/3), and -log(j/256) steps from 0 at j = 256 by
+    ln(i/(i - 1)) = 2 atanh(1/(2i - 1)).
+    """
+    one = 1 << _FIX
+    ln2 = 2 * _atanh_inv(3)
+    l_hi = (ln2 + (one >> 44)) >> (_FIX - 43)
+    t = {256: 0}
+    for j in range(257, 373):
+        t[j] = t[j - 1] - 2 * _atanh_inv(2 * j - 1)
+    for j in range(255, 185, -1):
+        t[j] = t[j + 1] + 2 * _atanh_inv(2 * j + 1)
+    # Python lists, not numpy item assignment, which left the import's
+    # peak RSS 168 KB higher.
+    hi, lo = [0.0] * 373, [0.0] * 373
+    for j, v in t.items():
+        h = v / one
+        hi[j], lo[j] = h, (v - int(h * one)) / one
+    return l_hi / (1 << 43), (ln2 - (l_hi << (_FIX - 43))) / one, np.array(hi), np.array(lo)
+
+
+_LN2_HI, _LN2_LO, _T_HI, _T_LO = _log_tables()
+
+
+def _log_fast(s: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """log s as y + y_lo for normal s in (0, 1), in numpy passes over the
+    workspace w of shape (7, >= s.size); y and y_lo are rows of w.  Also
+    returns the indices of the y not certified as the correctly rounded
+    log s at least 1/16 - 2**-7 ulp from a rounding midpoint.
+
+    Reduction, exact.  With b the bits of s, t = b - bits(0.6875) gives
+    k = t >> 52 and z = s * 2**-k in [0.6875, 1.375) from the bits
+    b - (t's top 12 bits), so log s = k ln 2 + log z.  j = rint(256/z)
+    lies in [186, 372]; invc = j/256 has 9 bits, and the exact
+    r = z*invc - 1, |r| < 1.375 * 2**-9 (1 + 2**-43) < 2**-8.5, is a
+    multiple of 2**-61 below 2**-8, so a double.  With z_hi the top 26 bits of z,
+    z_hi*invc (35 bits) and z_lo*invc (36 bits) are exact, z_hi*invc - 1
+    is exact by Sterbenz's lemma, and their sum is r.  Then
+    log z = T_j + log1p(r) with T_j = -log(j/256) from the table.
+
+    Sum.  k L_HI is exact for |k| <= 1022, and Fast2Sum of it and T_HI
+    is exact (|k L_HI| > 0.69 > |T_HI| unless k = 0), giving K_hi + e;
+    K_lo = (T_LO + k L_LO) + e.  Fast2Sum(K_hi, r) -> hi + e1 is exact
+    too: K_hi = 0 (k = 0, j = 256) or |K_hi| >= log(257/256) > |r|.
+    q = r**3 P(r) - r**2/2, with P(r) = 1/3 - r/4 + ... - r**5/8 so
+    that r + q is Taylor's log1p(r) to r**8; lo = (e1 + K_lo) + q; and
+    Fast2Sum(hi, lo) -> y + y_lo = hi + lo exactly.
+
+    Bound: |y + y_lo - log s| < 2**-61.3 |log s|.  With u = 2**-53 the
+    error of hi + lo is at most the sum of
+      - the series tail, |r|**9 / (9 (1 - |r|));
+      - fl(r*r)/2 and the roundings of q and of lo: u r**2/2 and u|q|
+        each, |q| < 0.501 r**2, with |lo| <= |q| + |e1| + |K_lo|;
+      - the roundings in r**3 P(r), below 3u |r|**3;
+      - the table, below 2**-108 + 2**-116; k times ln 2's, with the
+        rounding of k L_LO, below |k| 2**-96; and the two roundings of
+        K_lo and that of e1 + K_lo, each below u (2**-54 + |k| 2**-44 +
+        u |K_hi| + u |hi|).
+    If k = 0 and j = 256, K_hi = K_lo = e1 = 0 exactly, lo = q,
+    |r| < 2**-8.99 and |log s| >= |r| (1 - |r|/2): the error is below
+    1.002 u r**2 + 3u |r|**3 + |r|**9/8 < 2**-61.9 |log s|.  If k = 0
+    and j > 256, |r| < 2**-9 and |log s| > log(256.5/256) > 2**-9.002:
+    the error is below 1.51 u 2**-18 + 2**-77 < 2**-61.3 |log s|.  If
+    k < 0, |log s| > 0.3746 |k| and r**2 < 2**-17: the error is below
+    2**-69.3 + |k| 2**-94 < 2**-67.8 |log s|.
+
+    Certificate.  Let 2**e <= |y| < 2**(e + 1) and ulp = 2**(e - 52).
+    Where |y_lo| < 7/16 ulp and |y| is not 2**e, whose neighbour toward
+    zero is only ulp/2 away, |log s| < 2**(e + 1), so the error is below
+    2**-7 ulp, and log s lies inside y's binade, within 7/16 + 2**-7 ulp
+    of y: y is the correctly rounded log s, and every other double is
+    more than 9/16 - 2**-7 ulp away, so a log with an error below
+    0.5547 ulp returns y too.  About 1 in 8 s fails the test.
+    """
+    f = w[:, : s.size]
+    i = f.view(np.int64)
+    b = s.view(np.int64)
+    t = i[0]
+    np.subtract(b, 0x3FE6000000000000, out=t)
+    z = f[1]
+    np.bitwise_and(t, -1 << 52, out=i[1])
+    np.subtract(b, i[1], out=i[1])
+    np.right_shift(t, 52, out=t)
+    kh, kl = f[2], f[3]
+    np.multiply(t, _LN2_HI, out=kh)
+    np.multiply(t, _LN2_LO, out=kl)
+    c = f[0]
+    np.divide(256.0, z, out=c)
+    np.rint(c, out=c)
+    np.copyto(i[4], c, casting="unsafe")
+    th, tl = f[5], f[6]
+    np.take(_T_HI, i[4], out=th, mode="clip")
+    np.take(_T_LO, i[4], out=tl, mode="clip")
+    c *= 1.0 / 256.0
+    r = f[4]
+    np.bitwise_and(i[1], -1 << 27, out=i[4])
+    z -= r
+    r *= c
+    r -= 1.0
+    z *= c
+    r += z
+    # (K_hi, e) = Fast2Sum(k L_HI, T_HI); K_lo = (T_LO + k L_LO) + e.
+    k_hi = f[0]
+    np.add(kh, th, out=k_hi)
+    np.subtract(k_hi, kh, out=kh)
+    np.subtract(th, kh, out=kh)
+    tl += kl
+    tl += kh
+    q = f[1]
+    np.multiply(r, -1.0 / 8.0, out=q)
+    for a in (1.0 / 7.0, -1.0 / 6.0, 1.0 / 5.0, -1.0 / 4.0):
+        q += a
+        q *= r
+    q += 1.0 / 3.0
+    r2 = f[2]
+    np.multiply(r, r, out=r2)
+    q *= r2
+    q *= r
+    r2 *= 0.5
+    q -= r2
+    # (hi, e1) = Fast2Sum(K_hi, r); lo = (e1 + K_lo) + q into k_hi's row.
+    hi = f[2]
+    np.add(k_hi, r, out=hi)
+    np.subtract(hi, k_hi, out=k_hi)
+    np.subtract(r, k_hi, out=k_hi)
+    lo = k_hi
+    lo += tl
+    lo += q
+    y = f[3]
+    np.add(hi, lo, out=y)
+    np.subtract(y, hi, out=hi)
+    np.subtract(lo, hi, out=lo)
+    # lo is now y_lo, and 2**e * 7 * 2**-56 is 7/16 ulp(y).
+    np.abs(lo, out=q)
+    np.bitwise_and(y.view(np.int64), 0x7FF0000000000000, out=i[2])
+    f[2] *= 7.0 * 2.0**-56
+    miss = q >= f[2]
+    np.bitwise_and(y.view(np.int64), (1 << 52) - 1, out=i[2])
+    miss |= i[2] == 0
+    return y, lo, np.flatnonzero(miss)
+
+
+# Below this many values the ~50 passes' fixed cost, ~37 us, exceeds
+# math.log's, ~0.1 us a value.
+_LOG_PASSES_MIN = 512
+
+
+def _log(s: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """math.log of each s on glibc (see _log_fast): from _LOG_PASSES_MIN
+    values up through the passes, as a row of w."""
+    if s.size < _LOG_PASSES_MIN:
+        return np.fromiter(map(math.log, memoryview(s)), np.float64, s.size)
+    y, _, miss = _log_fast(s, w)
+    y[miss] = np.fromiter(map(math.log, memoryview(s[miss])), np.float64, miss.size)
+    return y
+
 
 def _check_seed(seed: int) -> None:
     if not isinstance(seed, int):
@@ -221,8 +403,14 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
     ceil(n/2) accepted pairs, so it does not depend on how the stream
     is split: pairs are drawn in blocks of at most _BLOCK // 2, and
     each block's accepted pairs are written straight into the output,
-    in order.  log(s) is taken with math.log on the accepted values:
-    numpy's vectorised log differs from it in the last bit on some.
+    in order.  log(s) is the correctly rounded log wherever numpy passes
+    certify it at least 1/16 - 2**-7 ulp from a rounding midpoint, and
+    math.log elsewhere: about 1 in 8 of the accepted s, and every s of a
+    block with fewer than 512 (see _log_fast and _log).  glibc's
+    math.log errs by at most about 0.54 ulp, so it returns the same
+    double at the certified s, and on glibc the stream is that of
+    math.log alone.  numpy's vectorised log differs from math.log in the
+    last bit on some s.
     """
     _check_seed(seed)
     if not isinstance(n, int) or n < 0:
@@ -231,6 +419,7 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         raise DomainError(f"sigma must lie in [0, {_SIGMA_MAX!r}], got {sigma!r}")
     seed &= _U64
     out = np.empty(((n + 1) // 2, 2))
+    w = np.empty((7, min(len(out), _BLOCK // 2)))
     done = 0
     drawn = 0
     while done < len(out):
@@ -247,10 +436,13 @@ def seeded_gaussian_noise(seed: int, n: int, sigma: float) -> np.ndarray:
         # s != 0.0 screens out the pair u = v = 0, which can occur.
         keep = np.flatnonzero((s < 1.0) & (s != 0.0))[:left]
         s = s[keep]
-        log_s = np.fromiter(map(math.log, memoryview(s)), np.float64, s.size)
+        m = _log(s, w)
+        m *= -2.0
+        m /= s
+        np.sqrt(m, out=m)
         block = out[done : done + keep.size]
         np.take(uv, keep, axis=0, out=block)
-        block *= np.sqrt(-2.0 * log_s / s)[:, None]
+        block *= m[:, None]
         done += keep.size
     out *= sigma
     return out.ravel()[:n]

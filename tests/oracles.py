@@ -17,6 +17,10 @@ and the principal branch is automatic.
 The Gaussian noise reference is the scalar SplitMix64 + Marsaglia polar
 loop that defined the package's deviate stream before it was
 vectorised: one Python-int state stepped per draw, one pair at a time.
+The block-wise reference is the vectorised stream as it was before its
+log was: each block's accepted s go through math.log one at a time.  It
+is fast enough to check millions of deviates, and accepted_s gives the
+s themselves.
 
 The half-crossing reference is the sample-by-sample scan the fitter's
 initializers used to read a feature's width before it was vectorised.
@@ -48,6 +52,7 @@ import math
 import numpy as np
 
 from efano.fitter import GTOL, MAX_ITERATIONS, SSE_RTOL
+from efano.numkit import _BLOCK, _unit_open
 
 
 def product_log_gamma(z: complex, n: int) -> complex:
@@ -119,6 +124,41 @@ def gaussian_noise_reference(seed: int, n: int, sigma: float) -> list[float]:
         out.append(sigma * (u * m))
         spare = v * m
     return out
+
+
+def _polar_blocks(seed: int):
+    """Each block's (u, v) pairs and their s, the accepted ones only."""
+    drawn = 0
+    while True:
+        uv = _unit_open(seed & _U64, drawn, _BLOCK).reshape(_BLOCK // 2, 2)
+        drawn += _BLOCK
+        uv *= 2.0
+        uv -= 1.0
+        s = uv[:, 0] * uv[:, 0] + uv[:, 1] * uv[:, 1]
+        keep = (s < 1.0) & (s != 0.0)
+        yield uv[keep], s[keep]
+
+
+def accepted_s(seed: int, count: int) -> np.ndarray:
+    """The first count accepted s = u*u + v*v of the stream of seed."""
+    parts, got = [], 0
+    for _, s in _polar_blocks(seed):
+        parts.append(s)
+        got += s.size
+        if got >= count:
+            return np.concatenate(parts)[:count]
+
+
+def gaussian_noise_math_log(seed: int, n: int, sigma: float) -> np.ndarray:
+    """n deviates of the package's stream, each log taken by math.log."""
+    parts, got = [], 0
+    for uv, s in _polar_blocks(seed):
+        if got >= n:
+            break
+        log_s = np.fromiter(map(math.log, memoryview(s)), np.float64, s.size)
+        parts.append((uv * np.sqrt(-2.0 * log_s / s)[:, None]).ravel())
+        got += 2 * s.size
+    return (np.concatenate(parts)[:n] if parts else np.empty(0)) * sigma
 
 
 def half_crossings_reference(

@@ -14,7 +14,12 @@ from efano import numkit
 from efano.errors import ConvergenceError, DomainError, GammaPoleError, NoBracketError
 from efano.numkit import find_root, log_gamma, seeded_gaussian_noise
 
-from oracles import gaussian_noise_reference, log_gamma_reference
+from oracles import (
+    accepted_s,
+    gaussian_noise_math_log,
+    gaussian_noise_reference,
+    log_gamma_reference,
+)
 
 # Frozen from the product-formula reference before the implementation
 # existed; see tests/oracles.py for its provenance.
@@ -406,3 +411,135 @@ class TestSeededNoise:
             seeded_gaussian_noise(17, 2, 1e308)
         with pytest.raises(DomainError):
             seeded_gaussian_noise(1.5, 4, 1.0)
+
+
+# The stream's log: numpy passes certified against a rounding midpoint,
+# math.log elsewhere.  The bitwise checks against math.log hold where
+# the C library's log errs by less than 0.5547 ulp, as glibc's does; the
+# decimal checks hold on every IEEE-754 platform.
+D60 = decimal.Context(prec=60)
+CHUNK = numkit._BLOCK // 2
+
+
+def _bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def _math_log(s):
+    return np.fromiter(map(math.log, memoryview(s)), np.float64, s.size)
+
+
+def _check_against_decimal(s):
+    """Every y + y_lo is within 2**-60 |log s|, and every y the kernel
+    keeps is log s correctly rounded, at least 1/16 - 2**-7 ulp from a
+    rounding midpoint."""
+    y, y_lo, miss = numkit._log_fast(s, np.empty((7, s.size)))
+    kept = np.ones(s.size, bool)
+    kept[miss] = False
+    for x, hi, lo, keep in zip(s.tolist(), y.tolist(), y_lo.tolist(), kept.tolist()):
+        exact = D60.ln(decimal.Decimal(x))
+        err = D60.subtract(D60.add(decimal.Decimal(hi), decimal.Decimal(lo)), exact)
+        assert abs(err) <= abs(exact) * decimal.Decimal(2) ** -60, x
+        if keep:
+            # The gap to the neighbour on log s's side: at a power of
+            # two the one toward zero is half an ulp.
+            off = D60.subtract(exact, decimal.Decimal(hi))
+            gap = abs(math.nextafter(hi, math.copysign(math.inf, off)) - hi)
+            assert hi == float(exact), x
+            margin = decimal.Decimal(7) / 16 + decimal.Decimal(2) ** -7
+            assert abs(off) <= margin * decimal.Decimal(gap), x
+
+
+def _near_breakpoint(j, side, ulps, k):
+    x = 256.0 / (j + 0.5 * side)
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return math.ldexp(x, -k)
+
+
+STREAM_S = st.one_of(
+    st.floats(2.0**-106, 1.0, exclude_max=True),
+    st.builds(
+        _near_breakpoint,
+        st.integers(186, 372),
+        st.sampled_from([-1, 1]),
+        st.integers(-4, 4),
+        st.integers(0, 106),
+    ),
+    st.builds(lambda k: 1.0 - k * 2.0**-53, st.integers(1, 1 << 20)),
+    st.builds(
+        lambda k, ulps: math.ldexp(0.6875 + ulps * 2.0**-53, -k),
+        st.integers(0, 106),
+        st.integers(-4, 4),
+    ),
+    # log s next to a power of two, where the binade changes.
+    st.builds(
+        lambda m, ulps: math.exp(-(2.0**m)) * (1.0 + ulps * 2.0**-53),
+        st.integers(-30, 6),
+        st.integers(-8, 8),
+    ),
+).filter(lambda x: 2.0**-106 <= x < 1.0)
+
+
+class TestStreamLog:
+    @pytest.mark.parametrize("seed", [1, 7, 2024, 20261019])
+    def test_equals_math_log_on_a_million_stream_s(self, seed):
+        s = accepted_s(seed, 10**6)
+        w = np.empty((7, CHUNK))
+        misses = 0
+        for i in range(0, s.size, CHUNK):
+            part = s[i : i + CHUNK]
+            assert np.array_equal(_bits(numkit._log(part, w)), _bits(_math_log(part))), i
+            misses += numkit._log_fast(part, w)[2].size
+        # The math.log fallback runs on about 1 in 8 of the stream's s.
+        assert 0.11 < misses / s.size < 0.14
+
+    @pytest.mark.parametrize("seed", [1, 7, 2024, 20261019])
+    def test_stream_equals_the_math_log_stream(self, seed):
+        n = 2 * 10**5 + 1
+        assert np.array_equal(
+            _bits(seeded_gaussian_noise(seed, n, 1.0)),
+            _bits(gaussian_noise_math_log(seed, n, 1.0)),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(STREAM_S, min_size=1, max_size=64))
+    def test_matches_math_log_and_decimal(self, xs):
+        # Repeated up to the size from which _log takes the passes.
+        s = np.resize(np.array(xs), numkit._LOG_PASSES_MIN)
+        got = numkit._log(s, np.empty((7, s.size)))
+        assert np.array_equal(_bits(got), _bits(_math_log(s)))
+        _check_against_decimal(np.array(xs))
+
+    def test_kept_values_are_correctly_rounded_off_the_midpoints(self):
+        # Independent of the C library: decimal decides every kept value.
+        rng = np.random.default_rng(20261021)
+        wide = np.ldexp(rng.uniform(0.5, 1.0, 2000), rng.integers(-105, 1, 2000))
+        # s with log s within a few ulp of -2**m: y = -2**m with log s
+        # on the side toward zero, where the gap is half an ulp of y,
+        # occurs 55 times.
+        edges = [
+            math.exp(-(2.0**m)) * (1.0 + u * 2.0**-53)
+            for m in range(-40, 7)
+            for u in range(-16, 17)
+        ]
+        s = np.concatenate([rng.choice(accepted_s(2024, 40000), 4000), wide, edges])
+        _check_against_decimal(s[s >= 2.0**-106])
+
+    def test_table_is_the_nearest_double_double(self):
+        # A double-double near 0.37 keeps ~107 bits, so an entry may be
+        # up to half an ulp of its low part, 2**-108, from the exact
+        # value; the fixed-point sums add less than 2**-116.
+        for j in range(186, 373):
+            exact = D60.minus(D60.ln(D60.divide(j, 256)))
+            hi, lo = numkit._T_HI[j], numkit._T_LO[j]
+            assert hi == float(exact), j
+            err = D60.subtract(D60.add(decimal.Decimal(hi), decimal.Decimal(lo)), exact)
+            bound = decimal.Decimal(math.ulp(lo)) / 2 + decimal.Decimal(2) ** -116
+            assert abs(err) <= bound, j
+        ln2 = D60.ln(2)
+        hi, lo = numkit._LN2_HI, numkit._LN2_LO
+        assert hi * 2.0**43 == round(hi * 2.0**43)
+        assert abs(D60.subtract(decimal.Decimal(hi), ln2)) <= decimal.Decimal(2) ** -44
+        err = D60.subtract(D60.add(decimal.Decimal(hi), decimal.Decimal(lo)), ln2)
+        assert abs(err) <= decimal.Decimal(math.ulp(lo)) / 2 + decimal.Decimal(2) ** -116
