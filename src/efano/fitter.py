@@ -38,6 +38,11 @@ dot products OpenBLAS splits across its threads, so the fit's bits do
 not depend on the BLAS thread count.  The kernels fix no association
 order: their contract is accuracy, each entry within a few ulp of the
 terms it is computed from.
+A curve of four or more blocks is fitted in two stages that share one
+workspace: from the guess on every s-th sample, s = ceil(n / _BLOCK),
+at most one block, then on all the samples from that optimum, which
+the full sweeps only polish.  Up to three blocks the first stage costs
+about what it saves, and the fit runs on all the data from the guess.
 
 Starting points come from the profile geometry itself: the interference
 zero sits at E_r - q*Gamma/2, the peak at E_r + Gamma/(2*q) with height
@@ -106,6 +111,7 @@ class FitReport:
     converged means the stop was a convergence criterion (the GTOL
     gradient test, an sse stall, or no improving step), not the
     iteration cap; the best parameters found are reported either way.
+    iterations counts those of the fit over all the samples (see fit).
     lorentzian_limit flags a Fano fit that ended at |q| >= Q_CAP, its
     phase within ~1e-6 of pi/2, where the shape is a Lorentzian peak.
     """
@@ -249,8 +255,14 @@ def _sweep(
     return sse
 
 
+def _workspace(m: _Model, width: int) -> tuple:
+    """W, t and the current and trial GA for blocks of up to width samples."""
+    return (np.empty((m.rows + 1, width)), np.empty((m.scratch, width)),
+            np.empty((2, m.rows, m.bound.size + 1)))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _minimize(m: _Model, theta0: np.ndarray, E: np.ndarray, y: np.ndarray):
+def _minimize(m: _Model, theta0: np.ndarray, E: np.ndarray, y: np.ndarray, work=None):
     """Damped Newton or Gauss-Newton loop for model m over theta clamped
     to [-m.bound, m.bound].
 
@@ -262,8 +274,10 @@ def _minimize(m: _Model, theta0: np.ndarray, E: np.ndarray, y: np.ndarray):
     count.  g is J @ r, half the gradient of the sse, and A the Gram
     matrix J J^T, both views of one array per point; those of the
     current point and of the trial point are swapped when a trial is
-    accepted.  The step solves (H + lam*diag(A)) step = -g, with H the
-    model's Newton Hessian where m.newton gives one and A otherwise.
+    accepted.  work is a _workspace for blocks at least min(n, _BLOCK)
+    wide; None allocates one.  The step solves (H + lam*diag(A)) step =
+    -g, with H the model's Newton Hessian where m.newton gives one and
+    A otherwise.
     Overflow raises no numpy warning: a trial whose damped system is
     singular or not finite, or whose sse is not finite, is rejected,
     and a kept point whose sse, g or Gram diagonal is not finite raises
@@ -275,14 +289,12 @@ def _minimize(m: _Model, theta0: np.ndarray, E: np.ndarray, y: np.ndarray):
     n2 = m.rows - p
     n = E.size
     width = min(n, _BLOCK)
-    W = np.empty((m.rows + 1, width))
-    t = np.empty((m.scratch, width))
+    W, t, (GA, GA_c) = work or _workspace(m, width)
     blocks = []
     for s in range(0, n, width):
         k = min(width, n - s)
         Wk = W[:, :k]
         blocks.append((E[s : s + k], y[s : s + k], Wk[:-1], t[:, :k], Wk[-1], Wk[n2:].T))
-    GA, GA_c = np.empty((2, m.rows, p + 1))
     damping = np.zeros((p, p))
     sse = _sweep(m.run, theta, blocks, GA, math.inf)
     lam = 1e-3
@@ -506,7 +518,8 @@ def fit(
     sum of squared residuals and is deterministic: identical curve,
     guess, and settings give identical reports.  Hitting the iteration
     cap reports the best parameters found with converged=False rather
-    than raising.
+    than raising.  A curve of four or more blocks starts from a fit on a
+    subsample; iterations counts those of the full-data fit.
     """
     if not isinstance(curve, CrossSectionCurve):
         raise DomainError(f"expected a CrossSectionCurve, got {type(curve).__name__}")
@@ -520,9 +533,11 @@ def fit(
         guess = m.initial_guess(curve)
     elif not isinstance(guess, m.params):
         raise DomainError(f"{model} fit requires {m.params.__name__} as guess")
-    theta, sse, iterations, converged = _minimize(
-        m, np.array(m.to_theta(guess)), curve.energies, curve.sigmas
-    )
+    theta, E, y = np.array(m.to_theta(guess)), curve.energies, curve.sigmas
+    work, stride = _workspace(m, min(E.size, _BLOCK)), -(-E.size // _BLOCK)
+    if stride > 3:
+        theta = _minimize(m, theta, E[::stride], y[::stride], work)[0]
+    theta, sse, iterations, converged = _minimize(m, theta, E, y, work)
     params = m.from_theta(theta)
     return FitReport(
         model=model,
